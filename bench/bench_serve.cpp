@@ -142,32 +142,33 @@ int main() {
   const std::vector<asn::Asn> mix = query_mix(snapshot, kQueries);
   serve::QueryService service(std::move(snapshot));
 
+  using serve::Query;
   auto start = Clock::now();
-  for (const asn::Asn asn : mix) (void)service.lookup(asn);
+  for (const asn::Asn asn : mix) (void)service.query(Query::lookup(asn));
   const double cold_ms = ms_since(start);
 
   start = Clock::now();
-  for (const asn::Asn asn : mix) (void)service.lookup(asn);
+  for (const asn::Asn asn : mix) (void)service.query(Query::lookup(asn));
   const double warm_ms = ms_since(start);
 
   start = Clock::now();
-  const std::vector<serve::AsnAnswer> batch = service.lookup_batch(mix);
+  const std::vector<serve::AsnAnswer> batch =
+      service.query(Query::lookup_batch(mix))->lookups;
   const double batch_ms = ms_since(start);
 
   start = Clock::now();
   const std::vector<serve::AliveAnswer> alive =
-      service.alive_on_batch(mix, end - 365);
+      service.query(Query::alive_batch(mix, end - 365))->alive;
   const double alive_ms = ms_since(start);
 
   start = Clock::now();
   const std::vector<serve::AsnAnswer> everything =
-      service.scan(serve::ScanQuery{});
+      service.query(Query::scan(serve::ScanQuery{}))->lookups;
   const double scan_ms = ms_since(start);
 
   start = Clock::now();
-  const serve::CensusAnswer census = service.census(end);
+  (void)service.query(Query::census(end));
   const double census_ms = ms_since(start);
-  (void)census;
 
   const auto qps = [&](double ms) {
     return ms > 0 ? 1000.0 * static_cast<double>(kQueries) / ms : 0.0;
@@ -231,12 +232,12 @@ int main() {
   // --- Incremental advance vs. full rebuild over the last week.
   const int kDays = 7;
   const util::Day base_day = end - kDays;
-  serve::Snapshot advanced = history::HistoryStore::rebuild_at(
+  serve::Snapshot advanced = serve::rebuild_at(
       pipeline.restored, pipeline.op_world.activity, base_day);
   double advance_total_ms = 0;
   double advance_max_ms = 0;
   for (util::Day day = base_day + 1; day <= end; ++day) {
-    const serve::DayDelta delta = history::HistoryStore::slice_day(
+    const serve::DayDelta delta = serve::slice_day(
         pipeline.restored, pipeline.op_world.activity, day);
     start = Clock::now();
     const pl::Status status = advanced.advance_day(delta);
@@ -275,7 +276,7 @@ int main() {
   const std::string snap_path = dir + "/snapshot.plsnap";
   const std::string wal_path = dir + "/days.plwal";
 
-  const serve::Snapshot durable_base = history::HistoryStore::rebuild_at(
+  const serve::Snapshot durable_base = serve::rebuild_at(
       pipeline.restored, pipeline.op_world.activity, base_day);
 
   start = Clock::now();
@@ -300,7 +301,7 @@ int main() {
   double wal_append_total_ms = 0;
   double wal_append_max_ms = 0;
   for (util::Day day = base_day + 1; day <= end; ++day) {
-    const serve::DayDelta delta = history::HistoryStore::slice_day(
+    const serve::DayDelta delta = serve::slice_day(
         pipeline.restored, pipeline.op_world.activity, day);
     start = Clock::now();
     const pl::Status appended = serve::append_wal(wal_path, delta);
@@ -387,8 +388,8 @@ int main() {
        {history->earliest_day(), end - kHistoryDays / 2, end}) {
     const auto at = history->at(day);
     if (!at.ok() ||
-        !(**at == history::HistoryStore::rebuild_at(
-                      pipeline.restored, pipeline.op_world.activity, day))) {
+        !(**at == serve::rebuild_at(pipeline.restored,
+                                    pipeline.op_world.activity, day))) {
       history_identical = false;
       std::cerr << "history reconstruction diverged on day " << day << "\n";
     }

@@ -17,7 +17,7 @@
 // deltas — crash, WAL replay and all.
 //
 // The "new day arriving from the RIR FTP sites + collectors" is played here
-// by HistoryStore::slice_day over an extended simulated world; a production
+// by serve::slice_day over an extended simulated world; a production
 // loop would assemble the same DayDelta from the day's delegation files and
 // collector dump.
 //
@@ -50,13 +50,13 @@ int main(int argc, char** argv) {
   const int days_live = 28;
   const util::Day start = end - days_live;
   const auto day_of = [&](util::Day day) {
-    return history::HistoryStore::slice_day(extended.restored,
-                                            extended.op_world.activity, day);
+    return serve::slice_day(extended.restored, extended.op_world.activity,
+                            day);
   };
 
   // Day 0 of the deployment: build the snapshot over everything published
   // up to `start` and open a durable service over a fresh state directory.
-  serve::Snapshot base = history::HistoryStore::rebuild_at(
+  serve::Snapshot base = serve::rebuild_at(
       extended.restored, extended.op_world.activity, start);
   std::cout << "serving from " << util::format_iso(start) << ": "
             << util::with_commas(static_cast<std::int64_t>(base.asn_count()))
@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
 
   // The §9 promise, crash included: the crashed-and-recovered snapshot is
   // bit-identical to rebuilding the study over the full extended world.
-  const serve::Snapshot full = history::HistoryStore::rebuild_at(
+  const serve::Snapshot full = serve::rebuild_at(
       extended.restored, extended.op_world.activity, end);
   if (!(recovered->snapshot() == full)) {
     std::cerr << "recovered snapshot diverged from full rebuild\n";
@@ -185,9 +185,8 @@ int main(int argc, char** argv) {
   // to a fresh rebuild over the world truncated a week early.
   auto mid = history.at(week_ago);
   if (!mid.ok() ||
-      !(**mid == history::HistoryStore::rebuild_at(
-                     extended.restored, extended.op_world.activity,
-                     week_ago))) {
+      !(**mid == serve::rebuild_at(extended.restored,
+                                   extended.op_world.activity, week_ago))) {
     std::cerr << "history reconstruction diverged from rebuild\n";
     return 1;
   }

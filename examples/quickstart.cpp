@@ -134,8 +134,10 @@ int main(int argc, char** argv) {
   ripe.registry = asn::Rir::kRipeNcc;
   ripe.limit = 5;
   std::cout << "  first RIPE ASNs: ";
-  for (const serve::AsnAnswer& answer :
-       service.query(serve::Query::scan(ripe))->lookups)
+  // Hold the result: a range-for over `query(...)->lookups` would iterate a
+  // member of a temporary destroyed before the loop body runs.
+  const auto first_ripe = service.query(serve::Query::scan(ripe));
+  for (const serve::AsnAnswer& answer : first_ripe->lookups)
     std::cout << "AS" << answer.asn.value << " ";
   const util::Day end = service.snapshot().archive_end();
   const serve::CensusAnswer census =

@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
   // flag bits the snapshot build stamped on each row.
   std::vector<asn::Asn> dormant;
   std::vector<asn::Asn> outside;
-  for (const serve::AsnAnswer& answer :
-       service.query(serve::Query::scan(serve::ScanQuery{}))->lookups) {
+  const auto all_rows = service.query(serve::Query::scan(serve::ScanQuery{}));
+  for (const serve::AsnAnswer& answer : all_rows->lookups) {
     if (answer.dormant_squat) dormant.push_back(answer.asn);
     if (answer.outside_activity) outside.push_back(answer.asn);
   }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # verify-matrix.sh — the repo's full verification matrix in one command.
 #
-# Nine legs, one line of output each, exit 0 iff every leg passes:
+# Ten legs, one line of output each, exit 0 iff every leg passes:
 #
 #   plain      tier-1 build (with -Werror) + full ctest suite
 #   asan       PL_SANITIZE build (ASan+UBSan) + chaos-labelled suites
@@ -15,6 +15,10 @@
 #              (ctest -L durability)
 #   history    snapshot-history reconstruction + time-travel queries under
 #              contracts armed (ctest -L history)
+#   perfbench  perfbench/selftest.py: builds the benchmark harness against
+#              the current src/ and runs all three workloads at scale 0.05
+#              with their output checks (kept out of ctest so benchmark
+#              timing never gates tier-1)
 #
 # Usage: scripts/verify-matrix.sh [jobs]
 # Build trees live in build-matrix-<leg>/ so they never collide with the
@@ -27,17 +31,17 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="${1:-$(nproc 2>/dev/null || echo 2)}"
 FAILED=0
 
-run_leg() {
-  local name="$1" cmake_flags="$2" ctest_args="$3" tree="${4:-$1}"
+# leg NAME TREE CMD...: run CMD from the repo root, log to the tree's
+# verify-NAME.log, print one PASS/FAIL line.
+leg() {
+  local name="$1" tree="$2"
+  shift 2
   local dir="$ROOT/build-matrix-$tree"
   local log="$dir/verify-$name.log"
   local started ended
   started=$(date +%s)
   mkdir -p "$dir"
-  : > "$log"
-  if cmake -B "$dir" -S "$ROOT" $cmake_flags >>"$log" 2>&1 &&
-     cmake --build "$dir" -j "$JOBS" >>"$log" 2>&1 &&
-     (cd "$dir" && ctest --output-on-failure -j "$JOBS" $ctest_args >>"$log" 2>&1); then
+  if (cd "$ROOT" && "$@") >"$log" 2>&1; then
     ended=$(date +%s)
     printf 'PASS  %-8s (%ss)\n' "$name" "$((ended - started))"
   else
@@ -45,6 +49,20 @@ run_leg() {
     printf 'FAIL  %-8s (%ss)  log: %s\n' "$name" "$((ended - started))" "$log"
     FAILED=1
   fi
+}
+
+# A cmake leg: configure + build the tree, then ctest with the leg's args.
+cmake_steps() {
+  local dir="$1" cmake_flags="$2" ctest_args="$3"
+  cmake -B "$dir" -S "$ROOT" $cmake_flags &&
+    cmake --build "$dir" -j "$JOBS" &&
+    (cd "$dir" && ctest --output-on-failure -j "$JOBS" $ctest_args)
+}
+
+run_leg() {
+  local name="$1" cmake_flags="$2" ctest_args="$3" tree="${4:-$1}"
+  leg "$name" "$tree" cmake_steps "$ROOT/build-matrix-$tree" \
+    "$cmake_flags" "$ctest_args"
 }
 
 # plain doubles as the warning gate: tier-1 flags plus -Werror.
@@ -94,6 +112,9 @@ run_leg durability "-DPL_CHECKED=ON -DPL_WERROR=ON" "-L durability" checked
 # the as_of oracle suites run with contracts armed, so a delta fold that
 # leaves a snapshot index unsorted dies at the fold, not at the compare.
 run_leg history "-DPL_CHECKED=ON -DPL_WERROR=ON" "-L history" checked
+# perfbench builds its own tree (.bench_build/, via perfbench/run.py), so
+# it catches a src/ change that breaks the benchmark's compile or checks.
+leg perfbench perfbench python3 perfbench/selftest.py
 
 if [ "$FAILED" -ne 0 ]; then
   echo "verify matrix: FAILED"

@@ -172,32 +172,6 @@ HistoryStore& HistoryStore::operator=(HistoryStore&& other) {
   return *this;
 }
 
-// -- world slicing ----------------------------------------------------------
-
-serve::DayDelta HistoryStore::slice_day(const restore::RestoredArchive& archive,
-                                        const bgp::ActivityTable& activity,
-                                        util::Day day) {
-  return serve::slice_day(archive, activity, day);
-}
-
-restore::RestoredArchive HistoryStore::truncate_archive(
-    const restore::RestoredArchive& archive, util::Day last_day) {
-  return serve::truncate_archive(archive, last_day);
-}
-
-bgp::ActivityTable HistoryStore::truncate_activity(
-    const bgp::ActivityTable& activity, util::Day last_day) {
-  return serve::truncate_activity(activity, last_day);
-}
-
-serve::Snapshot HistoryStore::rebuild_at(
-    const restore::RestoredArchive& archive, const bgp::ActivityTable& activity,
-    util::Day day, const serve::SnapshotConfig& config) {
-  return serve::Snapshot::build(serve::truncate_archive(archive, day),
-                                serve::truncate_activity(activity, day), day,
-                                config);
-}
-
 // -- construction -----------------------------------------------------------
 
 pl::StatusOr<HistoryStore> HistoryStore::build(
@@ -214,13 +188,13 @@ pl::StatusOr<HistoryStore> HistoryStore::build(
   span.note("first_day", first_day);
   span.note("last_day", last_day);
 
-  pl::Status seeded =
-      store.reset(rebuild_at(archive, activity, first_day, snapshot_config));
+  pl::Status seeded = store.reset(
+      serve::rebuild_at(archive, activity, first_day, snapshot_config));
   if (!seeded.ok()) return seeded;
   for (util::Day day = first_day + 1; day <= last_day; ++day) {
     // Advance the store's own cache slot in place — it is both the
     // construction cursor and the first reconstruction to be served.
-    const serve::DayDelta delta = slice_day(archive, activity, day);
+    const serve::DayDelta delta = serve::slice_day(archive, activity, day);
     pl::Status advanced = store.cached_.advance_day(delta);
     if (!advanced.ok()) return advanced;
     store.cached_day_ = day;

@@ -17,7 +17,7 @@
 // intervening deltas forward IN PLACE via `Snapshot::advance_day`, so
 // reconstruction never holds two snapshots at once. Because the advance
 // path is test-locked bit-identical to a full rebuild (DESIGN.md §11),
-// `*at(D)` equals `rebuild_at(world, D)` exactly — the invariant
+// `*at(D)` equals `serve::rebuild_at(world, D)` exactly — the invariant
 // history_reconstruct_test fuzzes across seeds × intervals × chaos days.
 //
 // The store implements `serve::HistoryBackend`, so a QueryService routes
@@ -93,33 +93,6 @@ class HistoryStore final : public serve::HistoryBackend {
   /// deadlock finishing that span against the dead trace's mutex. The
   /// custom order detaches root_ before the old trace goes away.
   HistoryStore& operator=(HistoryStore&& other);
-
-  // -- world slicing (promoted from the serve free functions) --------------
-  // These are the one blessed way to cut a day — or a day-D world — out of
-  // full pipeline output; tests and tools go through them instead of
-  // hand-rolling truncation.
-
-  /// One day of input: every registry's record state in force on `day`
-  /// plus the ASNs active on `day` (deterministic order; see serve).
-  static serve::DayDelta slice_day(const restore::RestoredArchive& archive,
-                                   const bgp::ActivityTable& activity,
-                                   util::Day day);
-
-  /// The archive restricted to days <= `last_day`.
-  static restore::RestoredArchive truncate_archive(
-      const restore::RestoredArchive& archive, util::Day last_day);
-
-  /// The activity table restricted to days <= `last_day`.
-  static bgp::ActivityTable truncate_activity(
-      const bgp::ActivityTable& activity, util::Day last_day);
-
-  /// Build the snapshot a fresh pipeline run over the world truncated at
-  /// `day` would produce — the reconstruction oracle: `*at(day)` must
-  /// compare equal to this, bit for bit.
-  static serve::Snapshot rebuild_at(const restore::RestoredArchive& archive,
-                                    const bgp::ActivityTable& activity,
-                                    util::Day day,
-                                    const serve::SnapshotConfig& config = {});
 
   // -- construction --------------------------------------------------------
 

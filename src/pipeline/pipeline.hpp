@@ -71,10 +71,11 @@ struct Config {
   /// the same post-mortem artifact the serving layer dumps on crash.
   std::string flight_path;
   /// Optional post-taxonomy hook, invoked inside the root span after every
-  /// Fig. 1 stage finished but before the report is frozen — the extension
-  /// point derived products (e.g. serve::Snapshot) use to run as a traced,
-  /// metered stage of the same run. Unset (the default) leaves the trace
-  /// tree exactly as before: seven stage children.
+  /// Fig. 1 stage finished but before the report is frozen. Its one user is
+  /// serve::run_simulated_serving, which builds (and optionally saves) the
+  /// serving Snapshot as traced, metered stages of the same run — serve
+  /// sits above pipeline in the layer table, so the pipeline cannot call it
+  /// directly. Unset (the default) leaves seven stage children.
   std::function<void(Result&, obs::Span&, obs::Registry&)> post_stage;
 };
 

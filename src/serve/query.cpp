@@ -100,8 +100,8 @@ QueryService::QueryService(Snapshot snapshot, QueryConfig config,
                         ? std::make_unique<obs::FlightRecorder>()
                         : nullptr),
       flight_(flight == nullptr ? owned_flight_.get() : flight),
-      lookup_cache_(config.enable_cache ? config.cache_capacity : 0),
-      alive_cache_(config.enable_cache ? config.cache_capacity : 0),
+      lookup_cache_(config.cache_capacity),
+      alive_cache_(config.cache_capacity),
       hits_(metrics_.counter("pl_serve_cache_hits")),
       misses_(metrics_.counter("pl_serve_cache_misses")),
       evictions_(metrics_.counter("pl_serve_cache_evictions")),
@@ -161,25 +161,26 @@ AliveAnswer QueryService::alive_for(const Snapshot& snap, asn::Asn asn,
   return answer;
 }
 
-// -- the unified entry point -----------------------------------------------
+// -- the query entry point -------------------------------------------------
 
 // pl-lint: allow(query-path-untraced) dispatcher: every kind's impl below
 // records its own span / flight event / metrics, and snapshot_as_of counts
 // the history routing — query() itself adds no unattributed work.
 pl::StatusOr<QueryResult> QueryService::query(const Query& q) {
-  auto snap = snapshot_as_of(q.options.as_of);
-  if (!snap.ok()) return snap.status();
-  // The answer caches are keyed by ASN against the LIVE snapshot; a past
-  // reconstruction must never probe or fill them.
-  const bool live = *snap == &snapshot_;
-  const bool use_cache = config_.enable_cache && q.options.use_cache && live;
-
+  // Validate the subject before routing: a malformed query must not pay
+  // for (or count as) a history reconstruction.
   const QuerySubject& subject = q.subject;
   const bool point =
       subject.kind == QueryKind::kLookup || subject.kind == QueryKind::kAlive;
   if (point && subject.asns.size() != 1)
     return pl::invalid_argument_error(
         "point query subjects carry exactly one ASN; use the batch kind");
+
+  auto snap = snapshot_as_of(q.options.as_of);
+  if (!snap.ok()) return snap.status();
+  // The answer caches are keyed by ASN against the LIVE snapshot; a past
+  // reconstruction must never probe or fill them.
+  const bool use_cache = q.options.use_cache && *snap == &snapshot_;
 
   QueryResult result;
   switch (subject.kind) {
@@ -272,7 +273,7 @@ pl::StatusOr<util::Day> QueryService::first_flip(asn::Asn asn,
                              "history");
 }
 
-// -- serving paths (shared by query() and the shims) -----------------------
+// -- serving paths, one per QueryKind --------------------------------------
 
 AsnAnswer QueryService::lookup_impl(const Snapshot& snap, asn::Asn asn,
                                     bool use_cache) {
@@ -571,42 +572,6 @@ std::vector<AsnAnswer> QueryService::scan_impl(const Snapshot& snap,
                obs::query_detail(obs::kCacheNone, 0, 0, !answers.empty()),
                static_cast<std::int64_t>(answers.size()));
   return answers;
-}
-
-// -- pre-redesign shims ----------------------------------------------------
-// Each forwards to the shared serving path with today-default options —
-// bit-identical answers, metrics, and flight events (oracle-test-locked).
-
-// pl-lint: allow(query-path-untraced) shim: lookup_impl records the event.
-AsnAnswer QueryService::lookup(asn::Asn asn) {
-  return lookup_impl(snapshot_, asn, config_.enable_cache);
-}
-
-// pl-lint: allow(query-path-untraced) shim: the impl opens the batch span.
-std::vector<AsnAnswer> QueryService::lookup_batch(
-    const std::vector<asn::Asn>& asns) {
-  return lookup_batch_impl(snapshot_, asns, config_.enable_cache);
-}
-
-// pl-lint: allow(query-path-untraced) shim: alive_impl records the event.
-AliveAnswer QueryService::alive_on(asn::Asn asn, util::Day day) {
-  return alive_impl(snapshot_, asn, day, config_.enable_cache);
-}
-
-// pl-lint: allow(query-path-untraced) shim: the impl opens the batch span.
-std::vector<AliveAnswer> QueryService::alive_on_batch(
-    const std::vector<asn::Asn>& asns, util::Day day) {
-  return alive_batch_impl(snapshot_, asns, day, config_.enable_cache);
-}
-
-// pl-lint: allow(query-path-untraced) shim: census_impl records the event.
-CensusAnswer QueryService::census(util::Day day) {
-  return census_impl(snapshot_, day);
-}
-
-// pl-lint: allow(query-path-untraced) shim: scan_impl opens the scan span.
-std::vector<AsnAnswer> QueryService::scan(const ScanQuery& query) {
-  return scan_impl(snapshot_, query);
 }
 
 pl::Status QueryService::advance_day(const DayDelta& delta) {

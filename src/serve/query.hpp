@@ -11,9 +11,7 @@
 // options say HOW — `QueryOptions::as_of` routes the question to a past
 // day through an attached `HistoryBackend` (DESIGN.md §16), and
 // `use_cache` lets a caller bypass the answer cache without changing the
-// answer. The pre-redesign entry points (`lookup`, `lookup_batch`,
-// `alive_on`, ...) remain as thin source-compat shims for one PR; they are
-// bit-identical to `query()` with default options.
+// answer. `query()` is the one entry point for every subject.
 //
 // Batch subjects are the primary API: vector-in/vector-out, misses computed
 // in parallel over the exec pool. Answers are deterministic — bit-identical
@@ -49,7 +47,6 @@ namespace pl::serve {
 struct QueryConfig {
   /// Total cached answers across both answer caches (0 disables storage).
   std::size_t cache_capacity = 4096;
-  bool enable_cache = true;
 
   friend bool operator==(const QueryConfig&, const QueryConfig&) = default;
 };
@@ -110,22 +107,25 @@ struct CensusAnswer {
   friend bool operator==(const CensusAnswer&, const CensusAnswer&) = default;
 };
 
-// -- the unified request shape ---------------------------------------------
+// -- the request shape -----------------------------------------------------
 
-/// What kind of question a Query asks. Point and batch kinds stay distinct
-/// so the flight-event and metric shapes of the old entry points carry over
-/// exactly (a point lookup records one event, a batch one per item).
+/// What kind of question a Query asks. Point and batch kinds are distinct
+/// because they record differently: a point lookup records one flight
+/// event and a sampled point latency, a batch one event per item under a
+/// `serve.*_batch` span.
 enum class QueryKind : std::uint8_t {
   kLookup,       ///< one ASN          → QueryResult::lookups[0]
   kLookupBatch,  ///< many ASNs        → QueryResult::lookups
   kAlive,        ///< one ASN + day    → QueryResult::alive[0]
   kAliveBatch,   ///< many ASNs + day  → QueryResult::alive
-  kCensus,       ///< one day          → QueryResult::census
-  kScan,         ///< ScanQuery filter → QueryResult::lookups
+  kCensus,       ///< one day          → QueryResult::census (never cached:
+                 ///< already O(log n) on the sorted event arrays)
+  kScan,         ///< ScanQuery filter → QueryResult::lookups (never cached:
+                 ///< scans are unbounded in shape and would churn the LRU)
 };
 
 /// How to answer: which day's snapshot, and whether the answer cache may
-/// serve/store the result. Defaults reproduce the old entry points exactly.
+/// serve/store the result. Defaults answer from the live snapshot, cached.
 struct QueryOptions {
   /// 0 (or the live archive end) = answer from the current snapshot. Any
   /// earlier day routes through the attached HistoryBackend: the answer is
@@ -205,10 +205,11 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  // -- the unified entry point ---------------------------------------------
+  // -- the query entry point -----------------------------------------------
 
   /// Answer one Query. kInvalidArgument when the subject is malformed
-  /// (point kinds need exactly one ASN) or `as_of` is in the future;
+  /// (point kinds need exactly one ASN; checked before any history work)
+  /// or `as_of` is in the future;
   /// kFailedPrecondition when `as_of` needs a history store and none is
   /// attached; kNotFound when `as_of` predates the recorded history.
   pl::StatusOr<QueryResult> query(const Query& q);
@@ -233,23 +234,6 @@ class QueryService {
   /// already in force at the start of the recorded range counts as day
   /// one). kNotFound when it never happened within the recorded range.
   pl::StatusOr<util::Day> first_flip(asn::Asn asn, joint::Category category);
-
-  // -- point + batch shims (pre-redesign surface; one PR of source compat) --
-
-  AsnAnswer lookup(asn::Asn asn);
-  std::vector<AsnAnswer> lookup_batch(const std::vector<asn::Asn>& asns);
-
-  AliveAnswer alive_on(asn::Asn asn, util::Day day);
-  std::vector<AliveAnswer> alive_on_batch(const std::vector<asn::Asn>& asns,
-                                          util::Day day);
-
-  /// Whole-snapshot alive counts for one day (never cached: it is already
-  /// O(log n) on the snapshot's sorted event arrays).
-  CensusAnswer census(util::Day day);
-
-  /// Filtered range scan; answers computed fresh (scans are unbounded in
-  /// shape, so caching them would just churn the LRU).
-  std::vector<AsnAnswer> scan(const ScanQuery& query);
 
   // -- incremental update ------------------------------------------------
 

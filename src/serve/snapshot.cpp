@@ -572,6 +572,13 @@ bgp::ActivityTable truncate_activity(const bgp::ActivityTable& activity,
   return out;
 }
 
+Snapshot rebuild_at(const restore::RestoredArchive& archive,
+                    const bgp::ActivityTable& activity, util::Day day,
+                    const SnapshotConfig& config) {
+  return Snapshot::build(truncate_archive(archive, day),
+                         truncate_activity(activity, day), day, config);
+}
+
 void record_metrics(const Snapshot& snapshot, obs::Registry& metrics) {
   metrics.gauge("pl_serve_snapshot_asns")
       .set(static_cast<std::int64_t>(snapshot.asn_count()));

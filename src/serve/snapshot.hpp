@@ -280,6 +280,13 @@ restore::RestoredArchive truncate_archive(const restore::RestoredArchive& archiv
 bgp::ActivityTable truncate_activity(const bgp::ActivityTable& activity,
                                      util::Day last_day);
 
+/// The snapshot a fresh pipeline run over the world truncated at `day`
+/// would serve — the oracle that advance_day() and history reconstruction
+/// must match bit for bit.
+Snapshot rebuild_at(const restore::RestoredArchive& archive,
+                    const bgp::ActivityTable& activity, util::Day day,
+                    const SnapshotConfig& config = {});
+
 /// Publish the snapshot census into a metrics registry (gauges
 /// `pl_serve_snapshot_asns` / `_admin_lives` / `_op_lives` and
 /// `pl_serve_archive_end`).

@@ -77,8 +77,8 @@ TEST(HistoryCodec, RoundTripsSlicedDaysExactly) {
   const pipeline::Result world = pipeline::run_simulated(config);
   const util::Day end = world.truth.archive_end;
   for (const util::Day day : {end, end - 1, end - 17, end - 30}) {
-    const serve::DayDelta delta = HistoryStore::slice_day(
-        world.restored, world.op_world.activity, day);
+    const serve::DayDelta delta =
+        serve::slice_day(world.restored, world.op_world.activity, day);
     ASSERT_GT(delta.delegation.size(), 0u);
     auto decoded = decode_compact_delta(encode_compact_delta(delta));
     ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();

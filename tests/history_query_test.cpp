@@ -1,10 +1,9 @@
 // The time-travel query surface: `Query{subject, options}` with
 // `QueryOptions::as_of` must answer exactly what a fresh QueryService over
-// the rebuilt day-D world would answer, the pre-redesign shims must stay
-// bit-identical to query() with default options, the temporal queries
-// (drift, first_flip) must match brute force over reconstructions, and a
-// DurableService must keep its attached history in lockstep — including
-// across a close/reopen with WAL replay.
+// the rebuilt day-D world would answer, the temporal queries (drift,
+// first_flip) must match brute force over reconstructions, errors must be
+// typed and cheap, and a DurableService must keep its attached history in
+// lockstep — including across a close/reopen with WAL replay.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -16,6 +15,7 @@
 #include "serve/durable.hpp"
 #include "serve/query.hpp"
 #include "serve/snapshot.hpp"
+#include "serve_ask.hpp"
 
 namespace pl::history {
 namespace {
@@ -105,68 +105,41 @@ TEST(HistoryQuery, AsOfMatchesFreshServiceOverRebuild) {
                               static_cast<util::Day>(w.end - 1)}) {
     SCOPED_TRACE("as_of day " + std::to_string(day));
     // The oracle: a service whose LIVE world is the rebuilt day-D world.
-    serve::QueryService fresh(HistoryStore::rebuild_at(
+    serve::QueryService fresh(serve::rebuild_at(
         w.result.restored, w.result.op_world.activity, day));
 
     for (const asn::Asn asn : asns) {
       auto lookup = live.query(serve::Query::lookup(asn, as_of(day)));
       ASSERT_TRUE(lookup.ok()) << lookup.status().to_string();
       ASSERT_EQ(lookup->lookups.size(), 1u);
-      EXPECT_EQ(lookup->lookups[0], fresh.lookup(asn));
+      EXPECT_EQ(lookup->lookups[0],
+                ask(fresh, serve::Query::lookup(asn)).lookups.at(0));
 
       auto alive = live.query(
           serve::Query::alive(asn, day - 3, as_of(day)));
       ASSERT_TRUE(alive.ok()) << alive.status().to_string();
       ASSERT_EQ(alive->alive.size(), 1u);
-      EXPECT_EQ(alive->alive[0], fresh.alive_on(asn, day - 3));
+      EXPECT_EQ(alive->alive[0],
+                ask(fresh, serve::Query::alive(asn, day - 3)).alive.at(0));
     }
 
     auto batch = live.query(serve::Query::lookup_batch(asns, as_of(day)));
     ASSERT_TRUE(batch.ok()) << batch.status().to_string();
-    EXPECT_EQ(batch->lookups, fresh.lookup_batch(asns));
+    EXPECT_EQ(batch->lookups,
+              ask(fresh, serve::Query::lookup_batch(asns)).lookups);
 
     auto census = live.query(serve::Query::census(day, as_of(day)));
     ASSERT_TRUE(census.ok()) << census.status().to_string();
     ASSERT_TRUE(census->census.has_value());
-    EXPECT_EQ(*census->census, fresh.census(day));
+    EXPECT_EQ(census->census, ask(fresh, serve::Query::census(day)).census);
 
     serve::ScanQuery filter;
     filter.admin_alive_on = day;
     filter.limit = 64;
     auto scan = live.query(serve::Query::scan(filter, as_of(day)));
     ASSERT_TRUE(scan.ok()) << scan.status().to_string();
-    EXPECT_EQ(scan->lookups, fresh.scan(filter));
+    EXPECT_EQ(scan->lookups, ask(fresh, serve::Query::scan(filter)).lookups);
   }
-}
-
-TEST(HistoryQuery, UnifiedQueryMatchesShims) {
-  serve::QueryService service(live_snapshot());
-  service.attach_history(&world().store);
-  const std::vector<asn::Asn> asns = sample_asns(service.snapshot());
-  const util::Day end = service.snapshot().archive_end();
-
-  for (const asn::Asn asn : asns) {
-    auto q = service.query(serve::Query::lookup(asn));
-    ASSERT_TRUE(q.ok());
-    EXPECT_EQ(q->lookups[0], service.lookup(asn));
-    auto a = service.query(serve::Query::alive(asn, end - 7));
-    ASSERT_TRUE(a.ok());
-    EXPECT_EQ(a->alive[0], service.alive_on(asn, end - 7));
-  }
-  auto batch = service.query(serve::Query::lookup_batch(asns));
-  ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(batch->lookups, service.lookup_batch(asns));
-  auto alive_batch = service.query(serve::Query::alive_batch(asns, end - 2));
-  ASSERT_TRUE(alive_batch.ok());
-  EXPECT_EQ(alive_batch->alive, service.alive_on_batch(asns, end - 2));
-  auto census = service.query(serve::Query::census(end));
-  ASSERT_TRUE(census.ok());
-  EXPECT_EQ(*census->census, service.census(end));
-  serve::ScanQuery filter;
-  filter.op_alive_on = end - 1;
-  auto scan = service.query(serve::Query::scan(filter));
-  ASSERT_TRUE(scan.ok());
-  EXPECT_EQ(scan->lookups, service.scan(filter));
 }
 
 TEST(HistoryQuery, CacheOptInvariance) {
@@ -224,12 +197,18 @@ TEST(HistoryQuery, ErrorsArePreciseAndTyped) {
                 .status()
                 .code(),
             pl::StatusCode::kNotFound);
-  // Malformed subject: point kinds take exactly one ASN.
+  // Malformed subject: point kinds take exactly one ASN — rejected before
+  // routing, so even with as_of set it costs no reconstruction.
   serve::Query two_asns;
   two_asns.subject.kind = serve::QueryKind::kLookup;
   two_asns.subject.asns = {asn, asn::Asn{42}};
   EXPECT_EQ(service.query(two_asns).status().code(),
             pl::StatusCode::kInvalidArgument);
+  const std::int64_t reconstructs = w.store.stats().reconstructs;
+  two_asns.options.as_of = w.end - 3;
+  EXPECT_EQ(service.query(two_asns).status().code(),
+            pl::StatusCode::kInvalidArgument);
+  EXPECT_EQ(w.store.stats().reconstructs, reconstructs);
 }
 
 TEST(HistoryQuery, DriftMatchesBruteForce) {
@@ -244,11 +223,11 @@ TEST(HistoryQuery, DriftMatchesBruteForce) {
   EXPECT_EQ(drift->from, from);
   EXPECT_EQ(drift->to, to);
   EXPECT_EQ(drift->from_counts,
-            tally(HistoryStore::rebuild_at(w.result.restored,
-                                           w.result.op_world.activity, from)));
+            tally(serve::rebuild_at(w.result.restored,
+                                    w.result.op_world.activity, from)));
   EXPECT_EQ(drift->to_counts,
-            tally(HistoryStore::rebuild_at(w.result.restored,
-                                           w.result.op_world.activity, to)));
+            tally(serve::rebuild_at(w.result.restored,
+                                    w.result.op_world.activity, to)));
   // The world only grows: total lives never shrink day over day.
   std::int64_t from_total = 0, to_total = 0;
   for (std::size_t c = 0; c < serve::kTaxonomyCategories; ++c) {
@@ -317,8 +296,8 @@ TEST(HistoryQuery, DurableServiceKeepsHistoryInLockstep) {
   config.history = &store;
   {
     auto service = serve::DurableService::open(
-        HistoryStore::rebuild_at(w.result.restored,
-                                 w.result.op_world.activity, start),
+        serve::rebuild_at(w.result.restored, w.result.op_world.activity,
+                          start),
         config);
     ASSERT_TRUE(service.ok()) << service.status().to_string();
     EXPECT_EQ(store.earliest_day(), start);
@@ -326,7 +305,7 @@ TEST(HistoryQuery, DurableServiceKeepsHistoryInLockstep) {
     EXPECT_EQ(service->queries().history(), &store);
 
     for (util::Day day = start + 1; day <= w.end - 6; ++day) {
-      const serve::DayDelta delta = HistoryStore::slice_day(
+      const serve::DayDelta delta = serve::slice_day(
           w.result.restored, w.result.op_world.activity, day);
       ASSERT_TRUE(service->advance_day(delta).ok());
       EXPECT_EQ(store.latest_day(), day);
@@ -338,9 +317,9 @@ TEST(HistoryQuery, DurableServiceKeepsHistoryInLockstep) {
     auto census =
         service->queries().query(serve::Query::census(past, as_of(past)));
     ASSERT_TRUE(census.ok()) << census.status().to_string();
-    serve::QueryService oracle(HistoryStore::rebuild_at(
+    serve::QueryService oracle(serve::rebuild_at(
         w.result.restored, w.result.op_world.activity, past));
-    EXPECT_EQ(*census->census, oracle.census(past));
+    EXPECT_EQ(census->census, ask(oracle, serve::Query::census(past)).census);
   }
 
   // Reopen with a FRESH store: open() must reseed it from the recovered
@@ -348,8 +327,7 @@ TEST(HistoryQuery, DurableServiceKeepsHistoryInLockstep) {
   HistoryStore fresh;
   config.history = &fresh;
   auto reopened = serve::DurableService::open(
-      HistoryStore::rebuild_at(w.result.restored, w.result.op_world.activity,
-                               start),
+      serve::rebuild_at(w.result.restored, w.result.op_world.activity, start),
       config);
   ASSERT_TRUE(reopened.ok()) << reopened.status().to_string();
   EXPECT_EQ(reopened->archive_end(), w.end - 6);
@@ -357,7 +335,7 @@ TEST(HistoryQuery, DurableServiceKeepsHistoryInLockstep) {
   EXPECT_EQ(fresh.latest_day(), w.end - 6);
 
   for (util::Day day = w.end - 5; day <= w.end; ++day) {
-    const serve::DayDelta delta = HistoryStore::slice_day(
+    const serve::DayDelta delta = serve::slice_day(
         w.result.restored, w.result.op_world.activity, day);
     ASSERT_TRUE(reopened->advance_day(delta).ok());
   }
@@ -366,9 +344,9 @@ TEST(HistoryQuery, DurableServiceKeepsHistoryInLockstep) {
   // The reseeded store reconstructs exactly like a from-scratch rebuild.
   auto got = fresh.at(w.end - 3);
   ASSERT_TRUE(got.ok()) << got.status().to_string();
-  EXPECT_TRUE(**got == HistoryStore::rebuild_at(w.result.restored,
-                                                w.result.op_world.activity,
-                                                w.end - 3));
+  EXPECT_TRUE(**got == serve::rebuild_at(w.result.restored,
+                                         w.result.op_world.activity,
+                                         w.end - 3));
 }
 
 }  // namespace

@@ -3,14 +3,13 @@
 // working set — for EVERY day in the recorded range, across seeds,
 // keyframe intervals, and transport chaos. Also locks the size contract
 // the subsystem exists for (mean compact delta <= 10% of a mean keyframe
-// at the default interval), random-access cache behavior, save/open
-// round-trips, and the pipeline adapter.
+// at the default interval), random-access cache behavior, and save/open
+// round-trips.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <string>
 
-#include "history/serving.hpp"
 #include "history/store.hpp"
 #include "pipeline/pipeline.hpp"
 #include "serve/snapshot.hpp"
@@ -45,8 +44,8 @@ void expect_every_day_matches_rebuild(HistoryStore& store,
        ++day) {
     auto got = store.at(day);
     ASSERT_TRUE(got.ok()) << got.status().to_string();
-    const serve::Snapshot rebuilt = HistoryStore::rebuild_at(
-        world.restored, world.op_world.activity, day);
+    const serve::Snapshot rebuilt =
+        serve::rebuild_at(world.restored, world.op_world.activity, day);
     ASSERT_TRUE(**got == rebuilt) << "reconstruction diverged on day " << day;
   }
 }
@@ -56,13 +55,13 @@ void expect_every_day_matches_rebuild(HistoryStore& store,
 /// for the seeds × intervals matrix.
 void expect_every_day_matches_cursor(HistoryStore& store,
                                      const pipeline::Result& world) {
-  serve::Snapshot cursor = HistoryStore::rebuild_at(
+  serve::Snapshot cursor = serve::rebuild_at(
       world.restored, world.op_world.activity, store.earliest_day());
   for (util::Day day = store.earliest_day(); day <= store.latest_day();
        ++day) {
     if (day > store.earliest_day()) {
-      const serve::DayDelta delta = HistoryStore::slice_day(
-          world.restored, world.op_world.activity, day);
+      const serve::DayDelta delta =
+          serve::slice_day(world.restored, world.op_world.activity, day);
       ASSERT_TRUE(cursor.advance_day(delta).ok());
     }
     auto got = store.at(day);
@@ -76,6 +75,10 @@ TEST(HistoryReconstruct, EveryDayBitIdenticalToRebuild) {
       pipeline::run_simulated(world_config(99, 0.02));
   auto store = trailing_store(world, 35);
   ASSERT_TRUE(store.ok()) << store.status().to_string();
+  // build() covers exactly the requested range, and the sweep below
+  // includes its last day: at(latest_day) is the end-of-world rebuild.
+  EXPECT_EQ(store->earliest_day(), world.truth.archive_end - 35);
+  EXPECT_EQ(store->latest_day(), world.truth.archive_end);
   expect_every_day_matches_rebuild(*store, world);
 
   // The size contract: a compact delta must average <= 10% of a keyframe
@@ -112,8 +115,9 @@ TEST(HistoryReconstruct, SeedAndIntervalMatrix) {
           trailing_store(world, 20, HistoryConfig{interval});
       ASSERT_TRUE(store.ok()) << store.status().to_string();
       expect_every_day_matches_cursor(*store, world);
-      if (interval == 1)
+      if (interval == 1) {
         EXPECT_EQ(store->stats().keyframes, 21);  // every day, base included
+      }
     }
   }
 }
@@ -132,8 +136,8 @@ TEST(HistoryReconstruct, RandomAccessOrderIsIrrelevant) {
   for (const util::Day day : {end, base, base + 10, end - 1, base + 3}) {
     auto got = store->at(day);
     ASSERT_TRUE(got.ok()) << got.status().to_string();
-    const serve::Snapshot rebuilt = HistoryStore::rebuild_at(
-        world.restored, world.op_world.activity, day);
+    const serve::Snapshot rebuilt =
+        serve::rebuild_at(world.restored, world.op_world.activity, day);
     EXPECT_TRUE(**got == rebuilt) << "diverged at random-access day " << day;
   }
   const HistoryStats stats = store->stats();
@@ -185,23 +189,6 @@ TEST(HistoryReconstruct, SaveOpenRoundTrip) {
   EXPECT_EQ(info->deltas, a.deltas);
 }
 
-TEST(HistoryReconstruct, PipelineAdapterBuildsServableWorld) {
-  HistoryWorldConfig world_config_;
-  world_config_.days = 40;
-  HistoryWorld world =
-      run_simulated_history(world_config(99, 0.01), world_config_);
-  ASSERT_TRUE(world.build_status.ok()) << world.build_status.to_string();
-  const util::Day end = world.result.truth.archive_end;
-  EXPECT_EQ(world.history.latest_day(), end);
-  EXPECT_EQ(world.history.earliest_day(), end - 39);
-  EXPECT_EQ(world.snapshot.archive_end(), end);
-
-  // The carried snapshot IS the store's final day.
-  auto latest = world.history.at(end);
-  ASSERT_TRUE(latest.ok());
-  EXPECT_TRUE(**latest == world.snapshot);
-}
-
 TEST(HistoryReconstruct, ErrorsArePreciseAndTyped) {
   HistoryStore empty_store;
   EXPECT_EQ(empty_store.at(100).status().code(),
@@ -220,7 +207,7 @@ TEST(HistoryReconstruct, ErrorsArePreciseAndTyped) {
             pl::StatusCode::kNotFound);
 
   // Out-of-sequence appends are refused before any state changes.
-  const serve::DayDelta wrong_day = HistoryStore::slice_day(
+  const serve::DayDelta wrong_day = serve::slice_day(
       world.restored, world.op_world.activity, store->latest_day() + 5);
   auto current = store->at(store->latest_day());
   ASSERT_TRUE(current.ok());

@@ -30,6 +30,7 @@
 #include "pipeline/pipeline.hpp"
 #include "serve/query.hpp"
 #include "serve/snapshot.hpp"
+#include "serve_ask.hpp"
 
 namespace pl::obs {
 namespace {
@@ -231,38 +232,40 @@ serve::Snapshot small_snapshot() {
 }
 
 /// The full query workload both services run: points, batches, census,
-/// scan. Returns the ASNs used so expectations can be derived.
-std::vector<asn::Asn> run_workload(serve::QueryService& service) {
+/// scan, each asked with `options`. Returns the ASNs used so expectations
+/// can be derived.
+std::vector<asn::Asn> run_workload(serve::QueryService& service,
+                                   serve::QueryOptions options = {}) {
+  using serve::Query;
   std::vector<asn::Asn> asns;
   for (std::uint32_t v = 1; v <= 8; ++v) asns.push_back(asn::Asn{v * 1000});
-  for (const asn::Asn asn : asns) service.lookup(asn);
-  service.lookup_batch(asns);
-  service.lookup_batch(asns);  // second pass: hits where caching is on
+  for (const asn::Asn asn : asns) ask(service, Query::lookup(asn, options));
+  ask(service, Query::lookup_batch(asns, options));
+  // Second pass: all hits where caching is on.
+  ask(service, Query::lookup_batch(asns, options));
   const util::Day day = service.snapshot().archive_end();
-  for (const asn::Asn asn : asns) service.alive_on(asn, day);
-  service.alive_on_batch(asns, day);
-  service.census(day);
+  for (const asn::Asn asn : asns)
+    ask(service, Query::alive(asn, day, options));
+  ask(service, Query::alive_batch(asns, day, options));
+  ask(service, Query::census(day, options));
   serve::ScanQuery scan;
   scan.first = asn::Asn{0};
   scan.last = asn::Asn{50000};
   scan.limit = 10;
-  service.scan(scan);
+  ask(service, Query::scan(scan, options));
   return asns;
 }
 
 TEST(QueryAttribution, EveryQueryIsAttributableAndCacheInvariant) {
   const serve::Snapshot snapshot = small_snapshot();
 
-  serve::QueryConfig cached;
-  cached.enable_cache = true;
-  serve::QueryService with_cache(snapshot, cached);
-
-  serve::QueryConfig uncached;
-  uncached.enable_cache = false;
-  serve::QueryService without_cache(snapshot, uncached);
+  serve::QueryService with_cache(snapshot);
+  serve::QueryService without_cache(snapshot);
+  serve::QueryOptions uncached;
+  uncached.use_cache = false;
 
   run_workload(with_cache);
-  run_workload(without_cache);
+  run_workload(without_cache, uncached);
 
   std::vector<FlightEvent> a = with_cache.flight().attribution();
   std::vector<FlightEvent> b = without_cache.flight().attribution();
@@ -319,7 +322,7 @@ TEST(QueryAttribution, BatchItemsGetDistinctRequestIds) {
   serve::QueryService service(snapshot, {});
   std::vector<asn::Asn> asns;
   for (std::uint32_t v = 1; v <= 16; ++v) asns.push_back(asn::Asn{v * 500});
-  service.lookup_batch(asns);
+  ask(service, serve::Query::lookup_batch(asns));
 
   if constexpr (!kEnabled) {
     EXPECT_TRUE(service.flight().events().empty());
@@ -342,8 +345,8 @@ TEST(QueryAttribution, LatencyHistogramsPopulateForServePaths) {
   serve::QueryService service(snapshot, {});
   std::vector<asn::Asn> asns;
   for (std::uint32_t v = 1; v <= 8; ++v) asns.push_back(asn::Asn{v * 1000});
-  service.lookup_batch(asns);
-  service.census(snapshot.archive_end());
+  ask(service, serve::Query::lookup_batch(asns));
+  ask(service, serve::Query::census(snapshot.archive_end()));
 
   const Snapshot metrics = service.report().metrics;
   if constexpr (!kEnabled) {

@@ -9,7 +9,6 @@
 // end to the full world's snapshot. Runs plain and under transport chaos.
 #include <gtest/gtest.h>
 
-#include "history/store.hpp"
 #include "pipeline/pipeline.hpp"
 #include "serve/snapshot.hpp"
 
@@ -22,8 +21,8 @@ void advance_equals_rebuild(const pipeline::Config& config, int days_back) {
   const util::Day start = end - days_back;
   ASSERT_GT(start, extended.truth.archive_begin);
 
-  Snapshot advanced = history::HistoryStore::rebuild_at(
-      extended.restored, extended.op_world.activity, start);
+  Snapshot advanced =
+      rebuild_at(extended.restored, extended.op_world.activity, start);
   ASSERT_TRUE(advanced.can_advance());
 
   AdvanceStats total;
@@ -42,8 +41,8 @@ void advance_equals_rebuild(const pipeline::Config& config, int days_back) {
     // Spot-check mid-stretch too, not only at the end: catches drift that a
     // later day would happen to repair.
     if (day == start + days_back / 2) {
-      const Snapshot rebuilt = history::HistoryStore::rebuild_at(
-          extended.restored, extended.op_world.activity, day);
+      const Snapshot rebuilt =
+          rebuild_at(extended.restored, extended.op_world.activity, day);
       EXPECT_TRUE(advanced == rebuilt) << "diverged by day " << day;
     }
   }
@@ -117,7 +116,7 @@ TEST(ServeAdvance, TruncationClipsButKeepsEarlierHistory) {
   const util::Day cut = result.truth.archive_end - 100;
 
   const restore::RestoredArchive clipped =
-      history::HistoryStore::truncate_archive(result.restored, cut);
+      truncate_archive(result.restored, cut);
   for (std::size_t r = 0; r < asn::kRirCount; ++r) {
     EXPECT_LE(clipped.registries[r].spans.size(),
               result.restored.registries[r].spans.size());
@@ -128,7 +127,7 @@ TEST(ServeAdvance, TruncationClipsButKeepsEarlierHistory) {
     }
   }
   const bgp::ActivityTable activity =
-      history::HistoryStore::truncate_activity(result.op_world.activity, cut);
+      truncate_activity(result.op_world.activity, cut);
   for (const auto& [asn_key, days] : activity.entries())
     EXPECT_LE(days.span().last, cut);
 }

@@ -43,10 +43,8 @@ World make_world(std::uint64_t seed, double scale, int days_back) {
   world.extended = pipeline::run_simulated(config);
   world.end = world.extended.truth.archive_end;
   world.start = world.end - days_back;
-  world.base = Snapshot::build(
-      truncate_archive(world.extended.restored, world.start),
-      truncate_activity(world.extended.op_world.activity, world.start),
-      world.start);
+  world.base = rebuild_at(world.extended.restored,
+                          world.extended.op_world.activity, world.start);
   world.full = Snapshot::build(world.extended.restored,
                                world.extended.op_world.activity, world.end);
   return world;

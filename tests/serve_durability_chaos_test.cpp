@@ -40,10 +40,8 @@ const World& world() {
     built.extended = pipeline::run_simulated(config);
     built.end = built.extended.truth.archive_end;
     built.start = built.end - 12;
-    built.base = Snapshot::build(
-        truncate_archive(built.extended.restored, built.start),
-        truncate_activity(built.extended.op_world.activity, built.start),
-        built.start);
+    built.base = rebuild_at(built.extended.restored,
+                            built.extended.op_world.activity, built.start);
     return built;
   }();
   return w;
@@ -96,9 +94,8 @@ void expect_serves_real_history(DurableService& service) {
   const util::Day day = service.archive_end();
   ASSERT_GE(day, world().start);
   ASSERT_LE(day, world().end);
-  const Snapshot rebuilt = Snapshot::build(
-      truncate_archive(world().extended.restored, day),
-      truncate_activity(world().extended.op_world.activity, day), day);
+  const Snapshot rebuilt = rebuild_at(
+      world().extended.restored, world().extended.op_world.activity, day);
   EXPECT_TRUE(service.snapshot() == rebuilt)
       << "recovered state at day " << day << " is not real history";
 }

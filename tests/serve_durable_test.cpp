@@ -13,6 +13,7 @@
 #include "serve/durable.hpp"
 #include "serve/serving.hpp"
 #include "serve/snapshot.hpp"
+#include "serve_ask.hpp"
 
 namespace pl::serve {
 namespace {
@@ -289,9 +290,8 @@ TEST(DurableService, AdvancesAndRecoversAcrossReopen) {
   const util::Day end = extended.truth.archive_end;
   const util::Day start = end - 10;
 
-  Snapshot base = Snapshot::build(truncate_archive(extended.restored, start),
-                                  truncate_activity(extended.op_world.activity, start),
-                                  start);
+  Snapshot base =
+      rebuild_at(extended.restored, extended.op_world.activity, start);
   const std::string dir = temp_dir("durable_service");
   DurableConfig durable;
   durable.dir = dir;
@@ -358,9 +358,8 @@ TEST(DurableService, QuarantinedDayDegradesButKeepsServing) {
 
   DurableConfig durable;
   durable.dir = dir;
-  Snapshot base = Snapshot::build(truncate_archive(extended.restored, end - 2),
-                                  truncate_activity(extended.op_world.activity, end - 2),
-                                  end - 2);
+  Snapshot base =
+      rebuild_at(extended.restored, extended.op_world.activity, end - 2);
   auto service = DurableService::open(std::move(base), durable);
   ASSERT_TRUE(service.ok());
 
@@ -381,7 +380,8 @@ TEST(DurableService, QuarantinedDayDegradesButKeepsServing) {
 
   // Still answering queries from the last good state.
   EXPECT_EQ(service->archive_end(), end - 2);
-  EXPECT_EQ(service->queries().census(end - 2).day, end - 2);
+  EXPECT_EQ(ask(service->queries(), Query::census(end - 2)).census.value().day,
+            end - 2);
 
   // Reopen replays the poisoned record, quarantines it again, and reports
   // the same degradation — deterministic recovery, no silent skip.

@@ -13,6 +13,7 @@
 #include "pipeline/pipeline.hpp"
 #include "serve/query.hpp"
 #include "serve/snapshot.hpp"
+#include "serve_ask.hpp"
 #include "util/rng.hpp"
 
 namespace pl::serve {
@@ -138,23 +139,25 @@ Oracle* ServeOracleTest::oracle_ = nullptr;
 Snapshot* ServeOracleTest::snapshot_ = nullptr;
 
 TEST_F(ServeOracleTest, PointAndBatchLookupsMatchLinearScan) {
-  for (const bool enable_cache : {true, false}) {
-    QueryConfig config;
-    config.enable_cache = enable_cache;
-    QueryService service(*snapshot_, config);
+  for (const bool use_cache : {true, false}) {
+    QueryOptions options;
+    options.use_cache = use_cache;
+    QueryService service(*snapshot_);
 
     util::Rng rng(0xF00D);
     for (int round = 0; round < 4; ++round) {
       const std::vector<asn::Asn> asns = random_asns(rng, 200);
-      const std::vector<AsnAnswer> batch = service.lookup_batch(asns);
+      const std::vector<AsnAnswer> batch =
+          ask(service, Query::lookup_batch(asns, options)).lookups;
       ASSERT_EQ(batch.size(), asns.size());
       for (std::size_t i = 0; i < asns.size(); ++i) {
         const AsnAnswer expected = oracle_->lookup(asns[i]);
         EXPECT_EQ(batch[i], expected)
-            << "asn " << asns[i].value << " cache=" << enable_cache;
+            << "asn " << asns[i].value << " cache=" << use_cache;
         // Point path answers identically to the batch path (and, second
         // time around, from the cache).
-        EXPECT_EQ(service.lookup(asns[i]), expected);
+        EXPECT_EQ(ask(service, Query::lookup(asns[i], options)).lookups.at(0),
+                  expected);
       }
     }
   }
@@ -163,22 +166,24 @@ TEST_F(ServeOracleTest, PointAndBatchLookupsMatchLinearScan) {
 TEST_F(ServeOracleTest, AliveQueriesMatchLinearScan) {
   const util::Day begin = oracle_->result.truth.archive_begin;
   const util::Day end = oracle_->result.truth.archive_end;
-  for (const bool enable_cache : {true, false}) {
-    QueryConfig config;
-    config.enable_cache = enable_cache;
-    QueryService service(*snapshot_, config);
+  for (const bool use_cache : {true, false}) {
+    QueryOptions options;
+    options.use_cache = use_cache;
+    QueryService service(*snapshot_);
 
     util::Rng rng(0xBEEF);
     for (int round = 0; round < 3; ++round) {
       const std::vector<asn::Asn> asns = random_asns(rng, 100);
       const util::Day day = begin + rng.uniform(0, end - begin);
-      const std::vector<AliveAnswer> batch = service.alive_on_batch(asns, day);
+      const std::vector<AliveAnswer> batch =
+          ask(service, Query::alive_batch(asns, day, options)).alive;
       ASSERT_EQ(batch.size(), asns.size());
       for (std::size_t i = 0; i < asns.size(); ++i) {
         const AliveAnswer expected = oracle_->alive(asns[i], day);
         EXPECT_EQ(batch[i], expected)
             << "asn " << asns[i].value << " day " << day;
-        EXPECT_EQ(service.alive_on(asns[i], day), expected);
+        EXPECT_EQ(ask(service, Query::alive(asns[i], day, options)).alive.at(0),
+                  expected);
       }
     }
   }
@@ -204,7 +209,8 @@ TEST_F(ServeOracleTest, ScansMatchLinearFilter) {
     if (rng.uniform(0, 1) == 0)
       query.admin_alive_on = begin + rng.uniform(0, end - begin);
 
-    const std::vector<AsnAnswer> got = service.scan(query);
+    const std::vector<AsnAnswer> got =
+        ask(service, Query::scan(query)).lookups;
 
     // Expected ASNs by linear scan over the admin/op datasets.
     std::set<std::uint32_t> expected;
@@ -255,7 +261,8 @@ TEST_F(ServeOracleTest, CensusMatchesLinearCountEverywhere) {
     std::int64_t op_alive = 0;
     for (const lifetimes::OpLifetime& life : oracle_->result.op.lifetimes)
       if (life.days.contains(day)) ++op_alive;
-    const CensusAnswer census = service.census(day);
+    const CensusAnswer census =
+        ask(service, Query::census(day)).census.value();
     EXPECT_EQ(census.admin_alive, admin_alive) << "day " << day;
     EXPECT_EQ(census.op_alive, op_alive) << "day " << day;
   }

@@ -11,6 +11,7 @@
 #include "serve/query.hpp"
 #include "serve/serving.hpp"
 #include "serve/snapshot.hpp"
+#include "serve_ask.hpp"
 #include "util/status.hpp"
 
 namespace pl::serve {
@@ -180,8 +181,10 @@ TEST(QueryService, SecondIdenticalBatchIsAllHits) {
     batch.push_back(asn::Asn{asn_value});
     if (batch.size() == 64) break;
   }
-  const std::vector<AsnAnswer> first = service.lookup_batch(batch);
-  const std::vector<AsnAnswer> second = service.lookup_batch(batch);
+  const std::vector<AsnAnswer> first =
+      ask(service, Query::lookup_batch(batch)).lookups;
+  const std::vector<AsnAnswer> second =
+      ask(service, Query::lookup_batch(batch)).lookups;
   EXPECT_EQ(first, second);
 
   if (obs::kEnabled) {
@@ -202,7 +205,7 @@ TEST(QueryService, TinyCacheEvicts) {
   std::vector<asn::Asn> batch;
   for (const auto& [asn_value, indices] : result.admin.by_asn)
     batch.push_back(asn::Asn{asn_value});
-  (void)service.lookup_batch(batch);
+  (void)ask(service, Query::lookup_batch(batch));
   if (obs::kEnabled) {
     EXPECT_GT(
         service.report().metrics.counter_value("pl_serve_cache_evictions"),
@@ -213,8 +216,8 @@ TEST(QueryService, TinyCacheEvicts) {
 TEST(QueryService, ReportCarriesServeSpansAndExports) {
   const pipeline::Result result = small_pipeline();
   QueryService service(small_snapshot(result));
-  (void)service.lookup_batch({asn::Asn{1}, asn::Asn{2}});
-  (void)service.scan(ScanQuery{});
+  (void)ask(service, Query::lookup_batch({asn::Asn{1}, asn::Asn{2}}));
+  (void)ask(service, Query::scan(ScanQuery{}));
   if (!obs::kEnabled) return;  // obs-off: report is empty by design
 
   const obs::Report report = service.report();
@@ -236,18 +239,19 @@ TEST(QueryService, ScanFiltersCompose) {
 
   ScanQuery by_registry;
   by_registry.registry = asn::Rir::kRipeNcc;
-  const std::vector<AsnAnswer> ripe = service.scan(by_registry);
+  const std::vector<AsnAnswer> ripe =
+      ask(service, Query::scan(by_registry)).lookups;
   EXPECT_GT(ripe.size(), 0u);
   for (std::size_t i = 1; i < ripe.size(); ++i)
     EXPECT_LT(ripe[i - 1].asn, ripe[i].asn);
 
   ScanQuery limited = by_registry;
   limited.limit = 5;
-  EXPECT_EQ(service.scan(limited).size(), 5u);
+  EXPECT_EQ(ask(service, Query::scan(limited)).lookups.size(), 5u);
 
   ScanQuery alive = by_registry;
   alive.admin_alive_on = result.truth.archive_end;
-  for (const AsnAnswer& answer : service.scan(alive))
+  for (const AsnAnswer& answer : ask(service, Query::scan(alive)).lookups)
     EXPECT_TRUE(answer.currently_allocated);
 }
 
@@ -275,7 +279,7 @@ TEST(QueryService, AdvanceClearsCachesAndBumpsVersion) {
   QueryService service(small_snapshot(result));
 
   const asn::Asn probe{result.admin.lifetimes.front().asn.value};
-  (void)service.lookup(probe);
+  (void)ask(service, Query::lookup(probe));
   DayDelta delta = slice_day(result.restored, result.op_world.activity,
                              result.truth.archive_end);
   delta.day = result.truth.archive_end + 1;
