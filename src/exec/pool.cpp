@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 #include <limits>
+#include <memory>
 
 namespace pl::exec {
 
@@ -74,7 +76,7 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::post(std::function<void()> task) {
   // Serial pool, or a worker feeding its own pool: run inline. The latter
-  // keeps nested submit/parallel_for deadlock-free when every worker is
+  // keeps nested parallel_for deadlock-free when every worker is
   // already busy inside a parallel section.
   if (workers_.empty() || tl_in_worker) {
     task();

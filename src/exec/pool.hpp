@@ -22,13 +22,9 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace pl::exec {
@@ -43,7 +39,7 @@ int hardware_threads();
 class ThreadPool {
  public:
   /// `threads` < 0 resolves to `hardware_threads()`; 0 builds a serial pool
-  /// that executes everything inline on the submitting thread.
+  /// that executes everything inline on the calling thread.
   explicit ThreadPool(int threads);
   ~ThreadPool();
 
@@ -52,19 +48,6 @@ class ThreadPool {
 
   /// Number of worker threads (0 for a serial pool).
   int size() const noexcept { return static_cast<int>(workers_.size()); }
-
-  /// Queue one task and get its result as a future. Exceptions thrown by
-  /// `fn` surface from `future::get()`. On a serial pool the task runs
-  /// inline before `submit` returns.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F&>> {
-    using R = std::invoke_result_t<F&>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    post([task] { (*task)(); });
-    return future;
-  }
 
   /// Body signature for range loops: [begin, end) over the item index space.
   using RangeBody = std::function<void(std::size_t, std::size_t)>;

@@ -33,6 +33,18 @@ std::uint32_t crc32(std::string_view bytes) noexcept {
   return util::crc32(bytes);
 }
 
+std::optional<std::size_t> frame_size(std::string_view blob,
+                                      std::size_t offset) noexcept {
+  if (offset > blob.size()) return std::nullopt;
+  const std::size_t remaining = blob.size() - offset;
+  if (remaining < kHeaderSize + kTrailerSize ||
+      blob.substr(offset, 4) != kMagic)
+    return std::nullopt;
+  const std::uint64_t length = read_le64(blob, offset + 8);
+  if (length > remaining - kHeaderSize - kTrailerSize) return std::nullopt;
+  return kHeaderSize + static_cast<std::size_t>(length) + kTrailerSize;
+}
+
 std::string CheckpointWriter::finish() && {
   std::string framed;
   framed.reserve(kHeaderSize + buffer_.size() + kTrailerSize);

@@ -25,6 +25,14 @@ std::uint32_t crc32(std::string_view bytes) noexcept;
 
 inline constexpr std::uint32_t kCheckpointVersion = 1;
 
+/// Size of the whole frame (header, payload and trailer) that starts at
+/// `offset` in a concatenation of frames. Nothing when the bytes there are
+/// not a frame header (too short, wrong magic) or the declared length runs
+/// past the end of `blob`. Validates framing only: the version and CRC are
+/// checked when a `CheckpointReader` opens the frame.
+std::optional<std::size_t> frame_size(std::string_view blob,
+                                      std::size_t offset) noexcept;
+
 /// Append-only byte writer. All integers are little-endian; varints are
 /// LEB128 (the same convention as the MRT codec).
 class CheckpointWriter {

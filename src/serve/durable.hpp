@@ -10,7 +10,8 @@
 //     written atomically via write-to-temp + rename. Truncated, bit-flipped
 //     or version-skewed files are rejected with `kDataLoss`, never loaded.
 //   * `append_wal` / `replay_wal` — a write-ahead log of `DayDelta` records,
-//     one CRC frame per day, appended BEFORE the in-memory fold. Replay on
+//     one `encode_day_delta` frame per day (the same frame the history
+//     store keeps), appended BEFORE the in-memory fold. Replay on
 //     open reconstructs the exact pre-crash state (bit-identical snapshot
 //     fingerprint, locked by the crash-injection test); a torn trailing
 //     record — the signature of a crash mid-append — is dropped, because a
@@ -47,13 +48,14 @@ namespace pl::serve {
 
 // -- snapshot persistence --------------------------------------------------
 
+/// Read the whole file at `path`. kNotFound when it does not exist,
+/// kUnavailable when it cannot be stat'ed, opened or read in full.
+pl::StatusOr<std::string> read_file(const std::string& path);
+
 /// Payload schema version inside the checkpoint frame. Bumped whenever the
 /// serialized Snapshot layout changes; a mismatch is rejected as kDataLoss
 /// ("snapshot format version skew"), never interpreted.
 inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
-
-/// WAL record payload schema version (same skew policy).
-inline constexpr std::uint32_t kWalFormatVersion = 1;
 
 /// Serialize `snapshot` into one self-contained CRC frame (the exact bytes
 /// `save_snapshot` writes). The history store embeds these frames as its
@@ -78,6 +80,38 @@ pl::Status save_snapshot(const Snapshot& snapshot, const std::string& path,
 /// payload fails validation (torn write, flipped bit, version skew, index
 /// out of bounds). A kDataLoss file is NEVER partially applied.
 pl::StatusOr<Snapshot> open_snapshot(const std::string& path);
+
+// -- day-delta codec -------------------------------------------------------
+
+/// Payload schema version inside each day-delta frame (same skew policy).
+/// 2 since the WAL and the history store share this frame: both old
+/// layouts read back as version 1 (the old WAL record opened with a fixed
+/// `u32 1`), so either is refused as skew instead of misread.
+inline constexpr std::uint32_t kDeltaFormatVersion = 2;
+
+/// Encode one day as a CRC frame. The one on-disk form of a `DayDelta`:
+/// every WAL record and every history-store delta is such a frame.
+///
+///   varint(version) zigzag(day)
+///   country table: varint(n), n length-prefixed tokens (first-seen order)
+///   facts:  varint(count), per fact
+///           head u8 = status(2b) | registry(3b) | has-reg-date(1b)
+///           zigzag varint ASN delta vs the previous fact
+///           [zigzag varint registration-date delta vs the frame's day]
+///           varint country id (0 = unknown, else table index + 1)
+///           varint opaque org id
+///   active: varint(count), zigzag varint ASN deltas
+///
+/// wrapped in the standard robust/checkpoint.hpp CRC frame. slice_day emits
+/// facts registry-major with ascending ASNs, so the ASN deltas are small
+/// and positive; the codec still round-trips ANY DayDelta exactly (order
+/// preserved, zigzag handles regressions).
+std::string encode_day_delta(const DayDelta& delta);
+
+/// Exact inverse of `encode_day_delta`: the decoded delta compares equal to
+/// the encoded one, field for field and in order. kDataLoss on truncation,
+/// a flipped bit, version skew or trailing bytes; never a partial delta.
+pl::StatusOr<DayDelta> decode_day_delta(std::string_view frame);
 
 // -- write-ahead log -------------------------------------------------------
 

@@ -1,5 +1,5 @@
-// Tests for the exec concurrency subsystem: task futures, parallel_for
-// coverage, deterministic exception propagation, nested sections, and the
+// Tests for the exec concurrency subsystem: parallel_for coverage,
+// deterministic exception propagation, nested sections, and the
 // PL_THREADS=0 serial fallback.
 #include "exec/pool.hpp"
 
@@ -16,27 +16,9 @@
 namespace pl::exec {
 namespace {
 
-TEST(ThreadPool, SubmitReturnsTaskResults) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 32; ++i)
-    futures.push_back(pool.submit([i] { return i * i; }));
-  for (int i = 0; i < 32; ++i) EXPECT_EQ(futures[i].get(), i * i);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptions) {
-  ThreadPool pool(2);
-  auto future = pool.submit([]() -> int {
-    throw std::runtime_error("task failed");
-  });
-  EXPECT_THROW(future.get(), std::runtime_error);
-  // The pool survives a throwing task.
-  EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
-}
-
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
+  EXPECT_EQ(pool.size(), 4);
   constexpr std::size_t kCount = 10000;
   std::vector<std::atomic<int>> hits(kCount);
   pool.parallel_for(kCount, [&](std::size_t begin, std::size_t end) {
@@ -91,9 +73,6 @@ TEST(ThreadPool, SerialPoolRunsEverythingInline) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 0);
   const std::thread::id self = std::this_thread::get_id();
-  std::thread::id task_thread;
-  pool.submit([&] { task_thread = std::this_thread::get_id(); }).get();
-  EXPECT_EQ(task_thread, self);
   std::thread::id loop_thread;
   pool.parallel_for(100, [&](std::size_t, std::size_t) {
     loop_thread = std::this_thread::get_id();

@@ -1,4 +1,5 @@
-// Compact delta codec + history file corruption suite: round-trips are
+// Day-delta codec (serve::encode_day_delta, the frame both the WAL and the
+// history store keep) + history file corruption suite: round-trips are
 // exact for hand-built and sliced deltas, and every flavor of damage —
 // truncation at any length, any single bit flipped, version skew, file-level
 // tears — decodes to a precise kDataLoss, never a crash, never a partial
@@ -9,10 +10,10 @@
 #include <fstream>
 #include <string>
 
-#include "history/codec.hpp"
 #include "history/store.hpp"
 #include "pipeline/pipeline.hpp"
 #include "robust/checkpoint.hpp"
+#include "serve/durable.hpp"
 
 namespace pl::history {
 namespace {
@@ -55,8 +56,8 @@ serve::DayDelta hand_built_delta() {
 
 TEST(HistoryCodec, RoundTripsHandBuiltDeltaExactly) {
   const serve::DayDelta delta = hand_built_delta();
-  const std::string frame = encode_compact_delta(delta);
-  auto decoded = decode_compact_delta(frame);
+  const std::string frame = serve::encode_day_delta(delta);
+  auto decoded = serve::decode_day_delta(frame);
   ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
   EXPECT_EQ(*decoded, delta);
 }
@@ -64,8 +65,8 @@ TEST(HistoryCodec, RoundTripsHandBuiltDeltaExactly) {
 TEST(HistoryCodec, RoundTripsEmptyDelta) {
   serve::DayDelta delta;
   delta.day = 1;
-  const std::string frame = encode_compact_delta(delta);
-  auto decoded = decode_compact_delta(frame);
+  const std::string frame = serve::encode_day_delta(delta);
+  auto decoded = serve::decode_day_delta(frame);
   ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
   EXPECT_EQ(*decoded, delta);
 }
@@ -80,16 +81,16 @@ TEST(HistoryCodec, RoundTripsSlicedDaysExactly) {
     const serve::DayDelta delta =
         serve::slice_day(world.restored, world.op_world.activity, day);
     ASSERT_GT(delta.delegation.size(), 0u);
-    auto decoded = decode_compact_delta(encode_compact_delta(delta));
+    auto decoded = serve::decode_day_delta(serve::encode_day_delta(delta));
     ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
     EXPECT_EQ(*decoded, delta) << "sliced day " << day;
   }
 }
 
 TEST(HistoryCodec, TruncationAtEveryLengthIsDataLoss) {
-  const std::string frame = encode_compact_delta(hand_built_delta());
+  const std::string frame = serve::encode_day_delta(hand_built_delta());
   for (std::size_t len = 0; len < frame.size(); ++len) {
-    auto decoded = decode_compact_delta(frame.substr(0, len));
+    auto decoded = serve::decode_day_delta(frame.substr(0, len));
     ASSERT_FALSE(decoded.ok()) << "truncation to " << len << " accepted";
     EXPECT_EQ(decoded.status().code(), pl::StatusCode::kDataLoss);
   }
@@ -98,12 +99,12 @@ TEST(HistoryCodec, TruncationAtEveryLengthIsDataLoss) {
 TEST(HistoryCodec, EveryBitFlipIsDataLoss) {
   // CRC32 detects any single-bit error, so no flip may round-trip — and
   // none may crash, even the ones that reach payload validation first.
-  const std::string frame = encode_compact_delta(hand_built_delta());
+  const std::string frame = serve::encode_day_delta(hand_built_delta());
   for (std::size_t byte = 0; byte < frame.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string damaged = frame;
       damaged[byte] = static_cast<char>(damaged[byte] ^ (1 << bit));
-      auto decoded = decode_compact_delta(damaged);
+      auto decoded = serve::decode_day_delta(damaged);
       ASSERT_FALSE(decoded.ok())
           << "bit " << bit << " of byte " << byte << " flipped undetected";
       EXPECT_EQ(decoded.status().code(), pl::StatusCode::kDataLoss);
@@ -112,23 +113,30 @@ TEST(HistoryCodec, EveryBitFlipIsDataLoss) {
 }
 
 TEST(HistoryCodec, VersionSkewIsDataLoss) {
-  // A structurally valid frame from "the future": version bumped, payload
-  // otherwise empty. Must be refused as skew, not misread.
-  robust::CheckpointWriter w;
-  w.varint(kDeltaFormatVersion + 1);
-  w.varint(0);  // day 0 (zigzag)
-  w.varint(0);  // no countries
-  w.varint(0);  // no facts
-  w.varint(0);  // no active
-  auto decoded = decode_compact_delta(std::move(w).finish());
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), pl::StatusCode::kDataLoss);
+  // Structurally valid frames from the past and "the future": version
+  // changed, payload otherwise empty. Both must be refused as skew, not
+  // misread.
+  for (const std::uint32_t version :
+       {serve::kDeltaFormatVersion - 1, serve::kDeltaFormatVersion + 1}) {
+    robust::CheckpointWriter w;
+    w.varint(version);
+    w.varint(0);  // day 0 (zigzag)
+    w.varint(0);  // no countries
+    w.varint(0);  // no facts
+    w.varint(0);  // no active
+    auto decoded = serve::decode_day_delta(std::move(w).finish());
+    ASSERT_FALSE(decoded.ok()) << "version " << version;
+    EXPECT_EQ(decoded.status().code(), pl::StatusCode::kDataLoss);
+    EXPECT_NE(decoded.status().message().find("version skew"),
+              std::string::npos)
+        << decoded.status().to_string();
+  }
 }
 
 TEST(HistoryCodec, GarbageIsDataLoss) {
-  EXPECT_EQ(decode_compact_delta("").status().code(),
+  EXPECT_EQ(serve::decode_day_delta("").status().code(),
             pl::StatusCode::kDataLoss);
-  EXPECT_EQ(decode_compact_delta("PLCK but not really a frame at all")
+  EXPECT_EQ(serve::decode_day_delta("PLCK but not really a frame at all")
                 .status()
                 .code(),
             pl::StatusCode::kDataLoss);
@@ -226,8 +234,37 @@ TEST_F(HistoryFileCorruption, ExtraTrailingFrameIsDataLoss) {
   // mismatch, refused — a history file is exact, not a WAL.
   serve::DayDelta delta;
   delta.day = 1;
-  expect_rejected(bytes_ + encode_compact_delta(delta),
+  expect_rejected(bytes_ + serve::encode_day_delta(delta),
                   "extra trailing frame");
+}
+
+TEST_F(HistoryFileCorruption, OlderFormatVersionIsDataLossOnOpen) {
+  // Re-frame the manifest at version 1 with a valid CRC and every other
+  // field intact: open() must refuse the whole file on the version alone,
+  // before any of its (version-1) deltas could fail an at().
+  const std::size_t manifest_len = *robust::frame_size(bytes_, 0);
+  robust::CheckpointReader r(std::string_view(bytes_).substr(0, manifest_len));
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r.u32(), kHistoryFormatVersion);
+  robust::CheckpointWriter old;
+  old.u32(1);
+  old.i32(r.i32());  // base_day
+  old.i32(r.i32());  // last_day
+  old.i32(r.i32());  // keyframe_interval
+  const std::uint64_t keyframes = r.varint();
+  old.varint(keyframes);
+  for (std::uint64_t i = 0; i < keyframes; ++i) old.i32(r.i32());
+  old.varint(r.varint());  // delta count
+  ASSERT_TRUE(r.at_end());
+  const std::string damaged =
+      std::move(old).finish() + bytes_.substr(manifest_len);
+  expect_rejected(damaged, "history format version 1");
+
+  const std::string path = testing::TempDir() + "history_v1.plhist";
+  write_all(path, damaged);
+  const pl::Status status = HistoryStore::open(path).status();
+  EXPECT_NE(status.message().find("version skew"), std::string::npos)
+      << status.to_string();
 }
 
 TEST_F(HistoryFileCorruption, EmptyAndGarbageAreDataLoss) {

@@ -255,6 +255,31 @@ TEST(CheckpointFraming, HostileContainerCountsAreRejectedBeforeAllocation) {
   EXPECT_FALSE(reader.ok());
 }
 
+TEST(CheckpointFraming, FrameSizeWalksConcatenatedFrames) {
+  robust::CheckpointWriter first;
+  first.str("first frame");
+  robust::CheckpointWriter second;
+  second.u64(42);
+  const std::string a = std::move(first).finish();
+  const std::string b = std::move(second).finish();
+  const std::string blob = a + b;
+
+  EXPECT_EQ(robust::frame_size(blob, 0), a.size());
+  EXPECT_EQ(robust::frame_size(blob, a.size()), b.size());
+  EXPECT_EQ(robust::frame_size(blob, blob.size()), std::nullopt);
+  EXPECT_EQ(robust::frame_size(blob, blob.size() + 1), std::nullopt);
+  // Not a header: wrong magic, or fewer bytes than a header and trailer.
+  EXPECT_EQ(robust::frame_size(blob, 1), std::nullopt);
+  EXPECT_EQ(robust::frame_size(blob.substr(0, 19), 0), std::nullopt);
+  // A whole header whose length runs past the blob (a torn append).
+  EXPECT_EQ(robust::frame_size(blob.substr(0, blob.size() - 1), a.size()),
+            std::nullopt);
+  // The size covers framing only; a damaged CRC still has a known size.
+  std::string damaged = a;
+  damaged[a.size() - 1] = static_cast<char>(damaged[a.size() - 1] ^ 0x01);
+  EXPECT_EQ(robust::frame_size(damaged, 0), a.size());
+}
+
 TEST(CheckpointFraming, Crc32MatchesKnownVector) {
   // IEEE 802.3 check value for "123456789".
   EXPECT_EQ(robust::crc32("123456789"), 0xCBF43926u);

@@ -232,6 +232,80 @@ TEST(DurableWal, CorruptMiddleRecordIsSkippedWithAccounting) {
   EXPECT_EQ(replay->deltas[1].day, end);
 }
 
+TEST(DurableWal, VersionSkewedRecordsAreCorruptNotMisread) {
+  const pipeline::Result& result = small_pipeline();
+  const util::Day end = result.truth.archive_end;
+  const std::string dir = temp_dir("wal_version_skew");
+  DurableConfig durable;
+  durable.dir = dir;
+  {
+    auto service = DurableService::open(
+        rebuild_at(result.restored, result.op_world.activity, end - 3),
+        durable);
+    ASSERT_TRUE(service.ok()) << service.status().to_string();
+  }
+
+  // A record in the old fixed-width WAL layout (u32 version 1, i32 day,
+  // fixed-width facts) and a current-layout record stamped version 1. Both
+  // are whole, CRC-valid frames between good days.
+  const DayDelta old_day =
+      slice_day(result.restored, result.op_world.activity, end - 1);
+  robust::CheckpointWriter old_layout;
+  old_layout.u32(1);
+  old_layout.i32(old_day.day);
+  old_layout.varint(old_day.delegation.size());
+  for (const DelegationFact& fact : old_day.delegation) {
+    old_layout.u32(fact.asn.value);
+    old_layout.u8(static_cast<std::uint8_t>(asn::index_of(fact.registry)));
+    old_layout.u8(static_cast<std::uint8_t>(fact.state.status));
+    old_layout.boolean(fact.state.registration_date.has_value());
+    if (fact.state.registration_date.has_value())
+      old_layout.i32(*fact.state.registration_date);
+    old_layout.boolean(!fact.state.country.unknown());
+    if (!fact.state.country.unknown())
+      old_layout.str(fact.state.country.to_string());
+    old_layout.u64(fact.state.opaque_id);
+  }
+  old_layout.varint(old_day.active.size());
+  for (const asn::Asn active : old_day.active) old_layout.u32(active.value);
+  const std::string old_layout_frame = std::move(old_layout).finish();
+
+  robust::CheckpointWriter version_one;
+  version_one.varint(kDeltaFormatVersion - 1);
+  version_one.varint(static_cast<std::uint64_t>(end) << 1);  // zigzag(day)
+  version_one.varint(0);  // no countries
+  version_one.varint(0);  // no facts
+  version_one.varint(0);  // no active
+  const std::string version_one_frame = std::move(version_one).finish();
+
+  std::string wal;
+  for (util::Day day = end - 2; day <= end; ++day) {
+    wal += encode_day_delta(
+        slice_day(result.restored, result.op_world.activity, day));
+    if (day == end - 2) wal += old_layout_frame;
+    if (day == end - 1) wal += version_one_frame;
+  }
+  const std::string wal_path = dir + "/days.plwal";
+  write_all(wal_path, wal);
+
+  auto replay = replay_wal(wal_path);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(replay->valid_records, 3);
+  EXPECT_EQ(replay->corrupt_records, 2);
+  EXPECT_FALSE(replay->torn_tail);
+
+  auto reopened = DurableService::open(Snapshot{}, durable);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().to_string();
+  const HealthReport health = reopened->health();
+  EXPECT_TRUE(health.degraded);
+  EXPECT_EQ(health.wal_corrupt_records, 2);
+  EXPECT_EQ(health.replayed_days, 3);
+  EXPECT_TRUE(health.quarantined_days.empty());
+  EXPECT_EQ(reopened->archive_end(), end);
+  EXPECT_TRUE(reopened->snapshot() ==
+              Snapshot::build(result.restored, result.op_world.activity, end));
+}
+
 TEST(DurableRetry, TransientUnavailableIsRetriedDeterministically) {
   int calls = 0;
   const SnapshotLoader loader = [&calls]() -> pl::StatusOr<Snapshot> {
