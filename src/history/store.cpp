@@ -186,11 +186,9 @@ HistoryStore& HistoryStore::operator=(HistoryStore&& other) {
 pl::StatusOr<HistoryStore> HistoryStore::build(
     const restore::RestoredArchive& archive, const bgp::ActivityTable& activity,
     util::Day first_day, util::Day last_day, HistoryConfig config,
-    serve::SnapshotConfig snapshot_config) {
+    const serve::SnapshotConfig& snapshot_config) {
   if (first_day > last_day)
     return pl::invalid_argument_error("history build range is empty");
-  // The cursor folds every day forward, so the working set is not optional.
-  snapshot_config.keep_working_set = true;
 
   HistoryStore store(config);
   obs::Span span = store.root_.child("history.build");
@@ -222,7 +220,7 @@ pl::Status HistoryStore::reset(const serve::Snapshot& base) {
     return pl::invalid_argument_error("keyframe interval must be >= 1");
   if (!base.can_advance())
     return pl::failed_precondition_error(
-        "history base snapshot lost its working set; reconstruction folds "
+        "history base snapshot has no working set; reconstruction folds "
         "deltas with advance_day and needs it");
   keyframes_.clear();
   deltas_.clear();

@@ -46,10 +46,13 @@
 
 namespace pl::history {
 
-/// On-disk history file schema version (manifest frame payload). 2 since
-/// the deltas became `serve::kDeltaFormatVersion` 2 frames, so open()
-/// refuses an older file as a whole instead of failing at the first at().
-inline constexpr std::uint32_t kHistoryFormatVersion = 2;
+/// On-disk history file schema version (manifest frame payload). Bumped
+/// with either frame format it embeds: 2 when the deltas became
+/// `serve::kDeltaFormatVersion` 2 frames, 3 when the keyframes became
+/// `serve::kSnapshotFormatVersion` 2 frames. open() decodes no keyframe, so
+/// this is what refuses an older file as a whole instead of failing at the
+/// first at().
+inline constexpr std::uint32_t kHistoryFormatVersion = 3;
 
 struct HistoryConfig {
   /// Days between keyframes; 1 = every day is a keyframe (fastest random
@@ -105,14 +108,14 @@ class HistoryStore final : public serve::HistoryBackend {
       const restore::RestoredArchive& archive,
       const bgp::ActivityTable& activity, util::Day first_day,
       util::Day last_day, HistoryConfig config = {},
-      serve::SnapshotConfig snapshot_config = {});
+      const serve::SnapshotConfig& snapshot_config = {});
 
   // -- serve::HistoryBackend -----------------------------------------------
 
   /// Install `base` as the first keyframe; recorded history restarts at
-  /// `base.archive_end()`. The base must keep its working set
-  /// (kFailedPrecondition otherwise): reconstruction folds deltas with
-  /// advance_day, which needs it.
+  /// `base.archive_end()`. The base must have a working set, i.e. come
+  /// from `Snapshot::build` (kFailedPrecondition otherwise): reconstruction
+  /// folds deltas with advance_day, which needs it.
   pl::Status reset(const serve::Snapshot& base) override;
 
   /// Record one day: encode the compact delta, and every

@@ -69,17 +69,18 @@ using AsnSpansByRegistry =
 /// Each registry's first observed day — the minimum span start across its
 /// ASNs, i.e. the day its first published file landed. `nullopt` for a
 /// registry with no spans at all. This is the backdating anchor
-/// `build_admin_lifetimes` derives internally; the serving layer keeps it
-/// alongside its working set so incremental rebuilds anchor identically.
+/// `build_admin_lifetimes` derives internally; the serving layer derives it
+/// from its working set so its per-ASN rebuilds anchor identically.
 std::array<std::optional<util::Day>, asn::kRirCount> registry_first_observed(
     const restore::RestoredArchive& archive);
 
 /// Lifetimes of a single ASN from its per-registry restored spans — the
-/// per-ASN core of `build_admin_lifetimes`, exposed so the serving layer's
-/// `advance_day()` can rebuild exactly the ASNs a new day touched. For any
-/// ASN, feeding the slices of a full archive through this function yields
-/// the same lifetimes the full builder produces (the differential tests
-/// lock this).
+/// per-ASN core of `build_admin_lifetimes`, exposed so the serving layer
+/// can build its rows one ASN at a time, without materializing a whole
+/// AdminDataset, both in `Snapshot::build` and after every `advance_day()`.
+/// For any ASN, feeding the slices of a full archive through this function
+/// yields the same lifetimes the full builder produces (the differential
+/// tests lock this).
 std::vector<AdminLifetime> build_asn_admin_lifetimes(
     std::uint32_t asn_value, const AsnSpansByRegistry& spans,
     const std::array<std::optional<util::Day>, asn::kRirCount>& first_observed,

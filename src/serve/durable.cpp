@@ -189,7 +189,6 @@ class SnapshotCodec {
     w.i32(config.admin.transfer_gap_tolerance);
     w.i64(config.squat.dormancy_days);
     encode_double(w, config.squat.max_relative_duration);
-    w.boolean(config.keep_working_set);
 
     w.varint(snap.rows_.size());
     for (const AsnRow& row : snap.rows_) {
@@ -221,9 +220,10 @@ class SnapshotCodec {
     w.boolean(snap.working_.has_value());
     if (!snap.working_.has_value()) return;
     const Snapshot::WorkingSet& working = *snap.working_;
-    for (std::size_t r = 0; r < asn::kRirCount; ++r) {
-      w.varint(working.spans[r].size());
-      for (const auto& [asn_value, spans] : working.spans[r]) {
+    for (const restore::RestoredRegistry& registry :
+         working.archive.registries) {
+      w.varint(registry.spans.size());
+      for (const auto& [asn_value, spans] : registry.spans) {
         w.u32(asn_value);
         w.varint(spans.size());
         for (const restore::StateSpan& span : spans) {
@@ -232,9 +232,6 @@ class SnapshotCodec {
           encode_record_state(w, span.state);
         }
       }
-      w.boolean(working.first_observed[r].has_value());
-      if (working.first_observed[r].has_value())
-        w.i32(*working.first_observed[r]);
     }
     w.varint(working.activity.entries().size());
     for (const auto& [asn_key, days] : working.activity.entries()) {
@@ -245,8 +242,6 @@ class SnapshotCodec {
         w.i32(run.last);
       }
     }
-    w.varint(working.open_asns.size());
-    for (const std::uint32_t asn_value : working.open_asns) w.u32(asn_value);
   }
 
   static pl::StatusOr<Snapshot> decode(robust::CheckpointReader& r) {
@@ -260,7 +255,6 @@ class SnapshotCodec {
     snap.config_.admin.transfer_gap_tolerance = r.i32();
     snap.config_.squat.dormancy_days = r.i64();
     snap.config_.squat.max_relative_duration = decode_double(r);
-    snap.config_.keep_working_set = r.boolean();
 
     const std::uint64_t row_count = r.container_size(22);
     snap.rows_.reserve(row_count);
@@ -307,12 +301,13 @@ class SnapshotCodec {
     if (r.boolean()) {
       Snapshot::WorkingSet working;
       for (std::size_t reg = 0; r.ok() && reg < asn::kRirCount; ++reg) {
+        restore::RestoredRegistry& registry = working.archive.registries[reg];
+        registry.rir = asn::kAllRirs[reg];
         const std::uint64_t asns = r.container_size(6);
         for (std::uint64_t i = 0; r.ok() && i < asns; ++i) {
           const std::uint32_t asn_value = r.u32();
           const std::uint64_t span_count = r.container_size(11);
-          std::vector<restore::StateSpan>& spans =
-              working.spans[reg][asn_value];
+          std::vector<restore::StateSpan>& spans = registry.spans[asn_value];
           spans.reserve(span_count);
           for (std::uint64_t j = 0; r.ok() && j < span_count; ++j) {
             restore::StateSpan span;
@@ -324,7 +319,6 @@ class SnapshotCodec {
             spans.push_back(std::move(span));
           }
         }
-        if (r.boolean()) working.first_observed[reg] = r.i32();
       }
       const std::uint64_t activity_count = r.container_size(6);
       for (std::uint64_t i = 0; r.ok() && i < activity_count; ++i) {
@@ -337,9 +331,6 @@ class SnapshotCodec {
           working.activity.mark_active(asn_key, run);
         }
       }
-      const std::uint64_t open_count = r.container_size(4);
-      for (std::uint64_t i = 0; r.ok() && i < open_count; ++i)
-        working.open_asns.insert(r.u32());
       snap.working_ = std::move(working);
     }
 

@@ -54,8 +54,10 @@ pl::StatusOr<std::string> read_file(const std::string& path);
 
 /// Payload schema version inside the checkpoint frame. Bumped whenever the
 /// serialized Snapshot layout changes; a mismatch is rejected as kDataLoss
-/// ("snapshot format version skew"), never interpreted.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
+/// ("snapshot format version skew"), never interpreted. 2 since the working
+/// set lost its backdating anchors, its open-ASN set and the config's
+/// keep-working-set flag (the rows are rebuilt from spans and activity).
+inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 
 /// Serialize `snapshot` into one self-contained CRC frame (the exact bytes
 /// `save_snapshot` writes). The history store embeds these frames as its

@@ -1,6 +1,8 @@
 #include "serve/snapshot.hpp"
 
 #include <algorithm>
+#include <ranges>
+#include <set>
 #include <utility>
 
 #include "check/contracts.hpp"
@@ -185,15 +187,90 @@ void Snapshot::assemble(const lifetimes::AdminDataset& admin,
       /*grain=*/64);
 
   for (BuiltAsn& built : slots) append_built(std::move(built));
+}
 
+void Snapshot::rebuild_rows(AdvanceStats* stats) {
+  const WorkingSet& working = *working_;
+  const restore::RestoredArchive& archive = working.archive;
+
+  // Ascending union of every ASN the working set knows: the registries'
+  // span keys first (their count is the admin rebuild count), then the
+  // activity keys. Each source is sorted, so merge instead of sorting.
+  std::vector<std::uint32_t> asns;
+  const auto merge_sorted = [&asns](auto&& keys) {
+    const std::size_t mid = asns.size();
+    for (const std::uint32_t key : keys) asns.push_back(key);
+    std::inplace_merge(asns.begin(), asns.begin() + mid, asns.end());
+    asns.erase(std::unique(asns.begin(), asns.end()), asns.end());
+  };
+  for (const restore::RestoredRegistry& registry : archive.registries)
+    merge_sorted(std::views::keys(registry.spans));
+  const std::size_t admin_asns = asns.size();
+  merge_sorted(std::views::keys(working.activity.entries()) |
+               std::views::transform(
+                   [](const asn::Asn& key) { return key.value; }));
+
+  const std::array<std::optional<Day>, asn::kRirCount> first_observed =
+      lifetimes::registry_first_observed(archive);
+
+  // Per-ASN row construction is independent: build each ASN into its own
+  // slot in parallel, then concatenate in ascending-ASN order (identical to
+  // the serial loop — see DESIGN.md §8 on the slot-merge discipline).
+  std::vector<BuiltAsn> slots(asns.size());
+  exec::parallel_for(
+      asns.size(),
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const asn::Asn asn{asns[i]};
+          lifetimes::AsnSpansByRegistry spans{};
+          for (std::size_t r = 0; r < asn::kRirCount; ++r) {
+            const auto it = archive.registries[r].spans.find(asn.value);
+            if (it != archive.registries[r].spans.end())
+              spans[r] = &it->second;
+          }
+          const std::vector<lifetimes::AdminLifetime> admin =
+              lifetimes::build_asn_admin_lifetimes(
+                  asn.value, spans, first_observed, archive_end_,
+                  config_.admin);
+          std::vector<lifetimes::OpLifetime> op;
+          if (const util::IntervalSet* days = working.activity.activity(asn))
+            for (const util::DayInterval& life :
+                 days->coalesce(config_.op_timeout_days))
+              op.push_back(lifetimes::OpLifetime{asn, life});
+          slots[i] = build_asn_rows(asn, admin, op, config_);
+        }
+      },
+      /*grain=*/64);
+
+  std::size_t row_total = 0, admin_total = 0, op_total = 0;
+  for (const BuiltAsn& built : slots) {
+    row_total += built.admin.empty() && built.op.empty() ? 0 : 1;
+    admin_total += built.admin.size();
+    op_total += built.op.size();
+  }
+  rows_.clear();
+  admin_rows_.clear();
+  op_rows_.clear();
+  rows_.reserve(row_total);
+  admin_rows_.reserve(admin_total);
+  op_rows_.reserve(op_total);
+  for (BuiltAsn& built : slots) append_built(std::move(built));
+  rebuild_indexes();
+
+  if (stats != nullptr) {
+    stats->touched_admin = static_cast<std::int64_t>(admin_asns);
+    stats->touched_op =
+        static_cast<std::int64_t>(working.activity.asn_count());
+    stats->reclassified = static_cast<std::int64_t>(rows_.size());
+  }
+}
+
+void Snapshot::rebuild_indexes() {
   PL_ASSERT_SORTED(rows_,
                    [](const AsnRow& a, const AsnRow& b) {
                      return a.asn < b.asn;
                    },
-                   "snapshot rows after assemble()");
-}
-
-void Snapshot::rebuild_indexes() {
+                   "snapshot rows before rebuild_indexes()");
   for (auto& list : by_registry_) list.clear();
   by_country_.clear();
   admin_starts_.clear();
@@ -248,28 +325,16 @@ Snapshot Snapshot::build(const restore::RestoredArchive& archive,
   snap.config_ = config;
   snap.archive_end_ = archive_end;
 
-  const lifetimes::AdminDataset admin =
-      lifetimes::build_admin_lifetimes(archive, archive_end, config.admin);
-  const lifetimes::OpDataset op =
-      lifetimes::build_op_lifetimes(activity, config.op_timeout_days);
-  snap.assemble(admin, op);
-  snap.rebuild_indexes();
-
-  if (config.keep_working_set) {
-    WorkingSet working;
-    for (std::size_t r = 0; r < asn::kRirCount; ++r)
-      for (const auto& [asn_value, spans] : archive.registries[r].spans)
-        working.spans[r].emplace(asn_value, canonicalize(spans));
-    working.first_observed = lifetimes::registry_first_observed(archive);
-    working.activity = activity;
-    for (const AsnRow& row : snap.rows_)
-      for (const AdminLifeRow& life : snap.admin_lives(row))
-        if (life.life.open_ended) {
-          working.open_asns.insert(row.asn.value);
-          break;
-        }
-    snap.working_ = std::move(working);
+  WorkingSet working;
+  for (std::size_t r = 0; r < asn::kRirCount; ++r) {
+    working.archive.registries[r].rir = archive.registries[r].rir;
+    for (const auto& [asn_value, spans] : archive.registries[r].spans)
+      working.archive.registries[r].spans.emplace(asn_value,
+                                                  canonicalize(spans));
   }
+  working.activity = activity;
+  snap.working_ = std::move(working);
+  snap.rebuild_rows();
   return snap;
 }
 
@@ -278,7 +343,6 @@ Snapshot Snapshot::from_datasets(lifetimes::AdminDataset admin,
                                  const SnapshotConfig& config) {
   Snapshot snap;
   snap.config_ = config;
-  snap.config_.keep_working_set = false;
 
   admin.index();
   if (op.by_asn.empty() && !op.lifetimes.empty()) {
@@ -355,20 +419,10 @@ pl::Status Snapshot::advance_day(const DayDelta& delta, AdvanceStats* stats) {
   }
 
   WorkingSet& working = *working_;
-
-  // ASNs needing admin recomputation: everything open-ended under the old
-  // archive end (their open_ended bit — and possibly their last life's end
-  // — depends on the moving end) plus everything with a delegated fact
-  // today. Ops: everything active today. All other ASNs' rows are
-  // unchanged by construction.
-  std::set<std::uint32_t> touched_admin = working.open_asns;
-  std::set<std::uint32_t> touched_op;
-
   for (const DelegationFact& fact : delta.delegation) {
-    const std::size_t r = asn::index_of(fact.registry);
-    auto& fo = working.first_observed[r];
-    if (!fo) fo = delta.day;  // registry's first published day
-    std::vector<StateSpan>& spans = working.spans[r][fact.asn.value];
+    std::vector<StateSpan>& spans =
+        working.archive.registries[asn::index_of(fact.registry)]
+            .spans[fact.asn.value];
     if (!spans.empty() && spans.back().days.last == delta.day - 1 &&
         spans.back().state == fact.state) {
       spans.back().days.last = delta.day;  // state unchanged: extend the run
@@ -376,123 +430,16 @@ pl::Status Snapshot::advance_day(const DayDelta& delta, AdvanceStats* stats) {
       spans.push_back(
           StateSpan{util::DayInterval{delta.day, delta.day}, fact.state});
     }
-    if (dele::is_delegated(fact.state.status))
-      touched_admin.insert(fact.asn.value);
   }
-
-  for (const asn::Asn active : delta.active) {
+  for (const asn::Asn active : delta.active)
     working.activity.mark_active(active, delta.day);
-    touched_op.insert(active.value);
-  }
-
   archive_end_ = delta.day;
 
   if (stats != nullptr) {
     stats->facts = static_cast<std::int64_t>(delta.delegation.size());
     stats->active = static_cast<std::int64_t>(delta.active.size());
-    stats->touched_admin = static_cast<std::int64_t>(touched_admin.size());
-    stats->touched_op = static_cast<std::int64_t>(touched_op.size());
   }
-
-  // Rebuild the serving rows: untouched ASNs' rows are copied verbatim
-  // (only begin offsets move); touched ASNs re-run the per-ASN builders —
-  // the same code the full build path runs, which is what makes the
-  // advance bit-identical to a rebuild.
-  std::set<std::uint32_t> touched = touched_admin;
-  touched.insert(touched_op.begin(), touched_op.end());
-
-  std::vector<AsnRow> old_rows;
-  std::vector<AdminLifeRow> old_admin;
-  std::vector<OpLifeRow> old_op;
-  old_rows.swap(rows_);
-  old_admin.swap(admin_rows_);
-  old_op.swap(op_rows_);
-  rows_.reserve(old_rows.size() + touched.size());
-  admin_rows_.reserve(old_admin.size());
-  op_rows_.reserve(old_op.size());
-
-  std::int64_t reclassified = 0;
-  auto row_it = old_rows.begin();
-  auto touched_it = touched.begin();
-  while (row_it != old_rows.end() || touched_it != touched.end()) {
-    if (touched_it == touched.end() ||
-        (row_it != old_rows.end() && row_it->asn.value < *touched_it)) {
-      // Untouched: copy the row and its lives, fixing offsets.
-      AsnRow row = *row_it++;
-      const std::uint32_t admin_begin = row.admin_begin;
-      const std::uint32_t op_begin = row.op_begin;
-      row.admin_begin = static_cast<std::uint32_t>(admin_rows_.size());
-      row.op_begin = static_cast<std::uint32_t>(op_rows_.size());
-      admin_rows_.insert(admin_rows_.end(), old_admin.begin() + admin_begin,
-                         old_admin.begin() + admin_begin + row.admin_count);
-      op_rows_.insert(op_rows_.end(), old_op.begin() + op_begin,
-                      old_op.begin() + op_begin + row.op_count);
-      rows_.push_back(row);
-      continue;
-    }
-
-    const std::uint32_t asn_value = *touched_it++;
-    const AsnRow* old_row =
-        (row_it != old_rows.end() && row_it->asn.value == asn_value)
-            ? &*row_it
-            : nullptr;
-
-    std::vector<lifetimes::AdminLifetime> admin_lifetimes;
-    if (touched_admin.contains(asn_value)) {
-      lifetimes::AsnSpansByRegistry span_lists{};
-      bool any = false;
-      for (std::size_t r = 0; r < asn::kRirCount; ++r) {
-        const auto it = working.spans[r].find(asn_value);
-        if (it != working.spans[r].end()) {
-          span_lists[r] = &it->second;
-          any = true;
-        }
-      }
-      if (any)
-        admin_lifetimes = lifetimes::build_asn_admin_lifetimes(
-            asn_value, span_lists, working.first_observed, archive_end_,
-            config_.admin);
-    } else if (old_row != nullptr) {
-      for (std::uint32_t a = 0; a < old_row->admin_count; ++a)
-        admin_lifetimes.push_back(
-            old_admin[old_row->admin_begin + a].life);
-    }
-
-    std::vector<lifetimes::OpLifetime> op_lifetimes;
-    if (touched_op.contains(asn_value)) {
-      const util::IntervalSet* activity =
-          working.activity.activity(asn::Asn{asn_value});
-      if (activity != nullptr)
-        for (const util::DayInterval& days :
-             activity->coalesce(config_.op_timeout_days))
-          op_lifetimes.push_back(
-              lifetimes::OpLifetime{asn::Asn{asn_value}, days});
-    } else if (old_row != nullptr) {
-      for (std::uint32_t o = 0; o < old_row->op_count; ++o)
-        op_lifetimes.push_back(old_op[old_row->op_begin + o].life);
-    }
-
-    if (old_row != nullptr) ++row_it;
-
-    if (touched_admin.contains(asn_value)) {
-      const bool open = std::any_of(
-          admin_lifetimes.begin(), admin_lifetimes.end(),
-          [](const lifetimes::AdminLifetime& life) { return life.open_ended; });
-      if (open)
-        working.open_asns.insert(asn_value);
-      else
-        working.open_asns.erase(asn_value);
-    }
-
-    if (admin_lifetimes.empty() && op_lifetimes.empty()) continue;
-    append_built(
-        build_asn_rows(asn::Asn{asn_value}, admin_lifetimes, op_lifetimes,
-                       config_));
-    ++reclassified;
-  }
-
-  if (stats != nullptr) stats->reclassified = reclassified;
-  rebuild_indexes();
+  rebuild_rows(stats);
   return {};
 }
 
@@ -509,9 +456,11 @@ bool operator==(const Snapshot& a, const Snapshot& b) {
   if (!a.working_.has_value()) return true;
   const Snapshot::WorkingSet& wa = *a.working_;
   const Snapshot::WorkingSet& wb = *b.working_;
-  return wa.spans == wb.spans && wa.first_observed == wb.first_observed &&
-         wa.activity.entries() == wb.activity.entries() &&
-         wa.open_asns == wb.open_asns;
+  for (std::size_t r = 0; r < asn::kRirCount; ++r)
+    if (wa.archive.registries[r].rir != wb.archive.registries[r].rir ||
+        wa.archive.registries[r].spans != wb.archive.registries[r].spans)
+      return false;
+  return wa.activity.entries() == wb.activity.entries();
 }
 
 DayDelta slice_day(const restore::RestoredArchive& archive,

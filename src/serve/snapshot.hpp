@@ -13,19 +13,18 @@
 // Construction happens once from pipeline output (`Snapshot::build`) or
 // from published Listing-1 datasets (`Snapshot::from_datasets`, query-only).
 // After that the snapshot only changes through `advance_day()`, which folds
-// ONE new delegation day plus ONE BGP activity day in place: it extends the
-// working set's restored spans and activity runs, then rebuilds lifetimes,
-// classification and detector flags for exactly the ASNs the day touched.
-// The advance path is locked by test to be bit-identical to rebuilding the
-// snapshot from a full pipeline run over the extended world — the
-// invariants that make that possible are catalogued in DESIGN.md §11.
+// ONE new delegation day plus ONE BGP activity day in: it extends the
+// working set's restored spans and activity runs in place, then rebuilds
+// every row through the same per-ASN builder `build` runs. The advance path
+// is locked by test to be bit-identical to rebuilding the snapshot from a
+// full pipeline run over the extended world — the invariants that make
+// that possible are catalogued in DESIGN.md §11.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -93,10 +92,6 @@ struct SnapshotConfig {
   int op_timeout_days = lifetimes::kPaperTimeoutDays;
   lifetimes::AdminBuildConfig admin;
   joint::SquatDetectorConfig squat;
-  /// Retain the build inputs (restored spans, activity, backdating anchors)
-  /// so advance_day() can fold new days in. Query-only consumers drop this
-  /// to halve the memory footprint.
-  bool keep_working_set = true;
 
   friend bool operator==(const SnapshotConfig&, const SnapshotConfig&) =
       default;
@@ -125,6 +120,8 @@ struct DayDelta {
 };
 
 /// advance_day() accounting, surfaced as span notes by the QueryService.
+/// Every row is rebuilt on every advance, so the last three count the whole
+/// working set: ASNs with restored spans, ASNs with activity, rows built.
 struct AdvanceStats {
   std::int64_t facts = 0;           ///< delegation facts applied
   std::int64_t active = 0;          ///< ASNs marked active
@@ -146,9 +143,10 @@ class Snapshot {
   /// a built snapshot into.
   Snapshot() = default;
 
-  /// Build from restored pipeline output. Runs the same lifetime builders
-  /// and classifier the pipeline stages run, so a snapshot built from a
-  /// pipeline's restored archive agrees exactly with its Result datasets.
+  /// Build from restored pipeline output. Runs the per-ASN cores of the
+  /// lifetime builders and the classifier the pipeline stages run, so a
+  /// snapshot built from a pipeline's restored archive agrees exactly with
+  /// its Result datasets. Keeps the inputs as the working set.
   static Snapshot build(const restore::RestoredArchive& archive,
                         const bgp::ActivityTable& activity,
                         util::Day archive_end, const SnapshotConfig& config = {});
@@ -198,7 +196,8 @@ class Snapshot {
 
   // -- incremental update ------------------------------------------------
 
-  /// True when the snapshot kept its working set and can advance.
+  /// True when the snapshot has a working set (it came from `build`, not
+  /// from `from_datasets`) and so can advance.
   bool can_advance() const noexcept { return working_.has_value(); }
 
   /// Fold one new day in. `delta.day` must be `archive_end() + 1`; at most
@@ -216,18 +215,14 @@ class Snapshot {
   friend class SnapshotCodec;
 
  private:
-  /// Mutable build inputs advance_day() extends. Spans are canonicalized
-  /// (adjacent same-state spans merged) so that daily extension and a fresh
+  /// Mutable build inputs advance_day() extends; every row is a function of
+  /// them and the archive end. Only the registries' `rir` and `spans` are
+  /// kept (no reports, no name pool). Spans are canonicalized (adjacent
+  /// same-state spans merged) so that daily extension and a fresh
   /// restoration of the extended world produce identical lists.
   struct WorkingSet {
-    std::array<std::map<std::uint32_t, std::vector<restore::StateSpan>>,
-               asn::kRirCount>
-        spans;
-    std::array<std::optional<util::Day>, asn::kRirCount> first_observed;
+    restore::RestoredArchive archive;
     bgp::ActivityTable activity;
-    /// ASNs with an open-ended admin life — exactly the rows whose admin
-    /// lives can change when the archive end moves without a new fact.
-    std::set<std::uint32_t> open_asns;
   };
 
   struct BuiltAsn {
@@ -244,6 +239,9 @@ class Snapshot {
 
   void assemble(const lifetimes::AdminDataset& admin,
                 const lifetimes::OpDataset& op);
+  /// Rebuild every row from the working set at `archive_end_`, then the
+  /// indexes. The one row path of build() and advance_day().
+  void rebuild_rows(AdvanceStats* stats = nullptr);
   void append_built(BuiltAsn&& built);
   void rebuild_indexes();
 

@@ -239,32 +239,39 @@ TEST_F(HistoryFileCorruption, ExtraTrailingFrameIsDataLoss) {
 }
 
 TEST_F(HistoryFileCorruption, OlderFormatVersionIsDataLossOnOpen) {
-  // Re-frame the manifest at version 1 with a valid CRC and every other
-  // field intact: open() must refuse the whole file on the version alone,
-  // before any of its (version-1) deltas could fail an at().
+  // Re-frame the manifest at each older version with a valid CRC and every
+  // other field intact: open() must refuse the whole file on the version
+  // alone, before any of its old deltas (version 1) or old keyframes
+  // (version 2) could fail an at().
   const std::size_t manifest_len = *robust::frame_size(bytes_, 0);
-  robust::CheckpointReader r(std::string_view(bytes_).substr(0, manifest_len));
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r.u32(), kHistoryFormatVersion);
-  robust::CheckpointWriter old;
-  old.u32(1);
-  old.i32(r.i32());  // base_day
-  old.i32(r.i32());  // last_day
-  old.i32(r.i32());  // keyframe_interval
-  const std::uint64_t keyframes = r.varint();
-  old.varint(keyframes);
-  for (std::uint64_t i = 0; i < keyframes; ++i) old.i32(r.i32());
-  old.varint(r.varint());  // delta count
-  ASSERT_TRUE(r.at_end());
-  const std::string damaged =
-      std::move(old).finish() + bytes_.substr(manifest_len);
-  expect_rejected(damaged, "history format version 1");
+  for (std::uint32_t version = 1; version < kHistoryFormatVersion;
+       ++version) {
+    robust::CheckpointReader r(
+        std::string_view(bytes_).substr(0, manifest_len));
+    ASSERT_TRUE(r.ok());
+    ASSERT_EQ(r.u32(), kHistoryFormatVersion);
+    robust::CheckpointWriter old;
+    old.u32(version);
+    old.i32(r.i32());  // base_day
+    old.i32(r.i32());  // last_day
+    old.i32(r.i32());  // keyframe_interval
+    const std::uint64_t keyframes = r.varint();
+    old.varint(keyframes);
+    for (std::uint64_t i = 0; i < keyframes; ++i) old.i32(r.i32());
+    old.varint(r.varint());  // delta count
+    ASSERT_TRUE(r.at_end());
+    const std::string damaged =
+        std::move(old).finish() + bytes_.substr(manifest_len);
+    expect_rejected(damaged,
+                    "history format version " + std::to_string(version));
 
-  const std::string path = testing::TempDir() + "history_v1.plhist";
-  write_all(path, damaged);
-  const pl::Status status = HistoryStore::open(path).status();
-  EXPECT_NE(status.message().find("version skew"), std::string::npos)
-      << status.to_string();
+    const std::string path = testing::TempDir() + "history_v" +
+                             std::to_string(version) + ".plhist";
+    write_all(path, damaged);
+    const pl::Status status = HistoryStore::open(path).status();
+    EXPECT_NE(status.message().find("version skew"), std::string::npos)
+        << status.to_string();
+  }
 }
 
 TEST_F(HistoryFileCorruption, EmptyAndGarbageAreDataLoss) {

@@ -81,6 +81,43 @@ TEST(ServeAdvance, BitIdenticalUnderChaos) {
   advance_equals_rebuild(config, 35);
 }
 
+TEST(ServeAdvance, RejectedDeltaLeavesSnapshotUnchanged) {
+  // advance_day extends the working set in place before it rebuilds the
+  // rows, so every check has to run before the first mutation: a rejected
+  // delta must leave rows, indexes and working set exactly as they were.
+  pipeline::Config config;
+  config.seed = 7;
+  config.scale = 0.01;
+  const pipeline::Result result = pipeline::run_simulated(config);
+  const util::Day day = result.truth.archive_end - 5;
+  Snapshot snapshot =
+      rebuild_at(result.restored, result.op_world.activity, day);
+  const Snapshot before = snapshot;
+  const DayDelta next =
+      slice_day(result.restored, result.op_world.activity, day + 1);
+  ASSERT_GT(next.delegation.size(), 1u);
+  ASSERT_GT(next.active.size(), 0u);
+
+  DayDelta wrong_day = next;
+  wrong_day.day = day + 2;
+  EXPECT_EQ(snapshot.advance_day(wrong_day).code(),
+            pl::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(snapshot == before) << "wrong-day delta mutated the snapshot";
+
+  // The duplicate comes last, after facts that would otherwise be folded.
+  DayDelta duplicate = next;
+  duplicate.delegation.push_back(duplicate.delegation.front());
+  EXPECT_EQ(snapshot.advance_day(duplicate).code(),
+            pl::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(snapshot == before)
+      << "duplicate-fact delta mutated the snapshot";
+
+  // The snapshot still takes the valid delta and matches a rebuild.
+  ASSERT_TRUE(snapshot.advance_day(next).ok());
+  EXPECT_TRUE(snapshot ==
+              rebuild_at(result.restored, result.op_world.activity, day + 1));
+}
+
 TEST(ServeAdvance, SliceDayIsDeterministicAndOrdered) {
   pipeline::Config config;
   config.seed = 99;
