@@ -29,6 +29,31 @@ void ActivityTable::mark_active(asn::Asn asn, util::IntervalSet&& days) {
   for (const util::DayInterval& run : days.runs()) it->second.add(run);
 }
 
+std::vector<asn::Asn> ActivityTable::extend_day(
+    util::Day day, std::span<const asn::Asn> active) {
+  const auto active_before = [day](const util::IntervalSet& days) {
+    return !days.empty() && days.runs().back().last == day - 1;
+  };
+  // One merge walk of the table against the sorted active list.
+  std::vector<asn::Asn> flipped;
+  auto it = activity_.begin();
+  auto next = active.begin();
+  while (it != activity_.end() || next != active.end()) {
+    if (next == active.end() || (it != activity_.end() && it->first < *next)) {
+      if (active_before(it->second)) flipped.push_back(it->first);  // went quiet
+      ++it;
+      continue;
+    }
+    if (it == activity_.end() || *next < it->first)
+      it = activity_.emplace_hint(it, *next, util::IntervalSet{});
+    if (!active_before(it->second)) flipped.push_back(*next);  // woke up
+    it->second.add(day);
+    ++it;
+    ++next;
+  }
+  return flipped;
+}
+
 const util::IntervalSet* ActivityTable::activity(
     asn::Asn asn) const noexcept {
   const auto it = activity_.find(asn);

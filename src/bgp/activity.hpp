@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -35,6 +36,14 @@ class ActivityTable {
   /// Fold a whole day set into `asn`'s activity with a single table lookup.
   /// Equivalent to adding every run of `days` in order.
   void mark_active(asn::Asn asn, util::IntervalSet&& days);
+
+  /// Fold one new day in place: `active` lists the ASNs active on `day`,
+  /// ascending and without duplicates, and no day at or after `day` may be
+  /// recorded yet. An ASN active on both `day - 1` and `day` extends its
+  /// last run by one day. Returns the ASNs whose activity flipped — active
+  /// on exactly one of the two days — ascending.
+  std::vector<asn::Asn> extend_day(util::Day day,
+                                   std::span<const asn::Asn> active);
 
   /// Active-day set for an ASN; nullptr if never active.
   const util::IntervalSet* activity(asn::Asn asn) const noexcept;

@@ -338,20 +338,23 @@ class SnapshotCodec {
       return pl::data_loss_error("snapshot failed to decode: " +
                                  std::string(r.error()));
 
-    // Structural validation: the row index must stay inside the life
-    // arrays and be sorted — a blob that passes CRC can still be hostile.
+    // Structural validation: the rows must be sorted and tile the life
+    // arrays in order, as every writer lays them out (advance_day splices
+    // rows in place and relies on it) — a blob that passes CRC can still be
+    // hostile.
+    std::uint64_t admin_next = 0, op_next = 0;
     for (std::size_t i = 0; i < snap.rows_.size(); ++i) {
       const AsnRow& row = snap.rows_[i];
-      const std::uint64_t admin_end =
-          static_cast<std::uint64_t>(row.admin_begin) + row.admin_count;
-      const std::uint64_t op_end =
-          static_cast<std::uint64_t>(row.op_begin) + row.op_count;
-      if (admin_end > snap.admin_rows_.size() ||
-          op_end > snap.op_rows_.size())
-        return pl::data_loss_error("snapshot row index out of bounds");
+      if (row.admin_begin != admin_next || row.op_begin != op_next)
+        return pl::data_loss_error("snapshot rows do not tile the life arrays");
+      admin_next += row.admin_count;
+      op_next += row.op_count;
       if (i > 0 && !(snap.rows_[i - 1].asn < row.asn))
         return pl::data_loss_error("snapshot rows not sorted by ASN");
     }
+    if (admin_next != snap.admin_rows_.size() ||
+        op_next != snap.op_rows_.size())
+      return pl::data_loss_error("snapshot rows do not tile the life arrays");
 
     snap.rebuild_indexes();
     return snap;

@@ -65,8 +65,9 @@ inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 std::string encode_snapshot(const Snapshot& snapshot);
 
 /// Parse a frame produced by `encode_snapshot`. kDataLoss when the frame or
-/// payload fails validation (truncation, flipped bit, version skew, index
-/// out of bounds); a rejected frame is NEVER partially applied.
+/// payload fails validation (truncation, flipped bit, version skew, rows
+/// that do not tile the life arrays); a rejected frame is NEVER partially
+/// applied.
 pl::StatusOr<Snapshot> decode_snapshot(std::string_view frame);
 
 /// Serialize `snapshot` into one CRC frame and write it to `path`
@@ -79,8 +80,9 @@ pl::Status save_snapshot(const Snapshot& snapshot, const std::string& path,
 
 /// Load a snapshot saved by `save_snapshot`. kNotFound when `path` does not
 /// exist, kUnavailable when it cannot be read, kDataLoss when the frame or
-/// payload fails validation (torn write, flipped bit, version skew, index
-/// out of bounds). A kDataLoss file is NEVER partially applied.
+/// payload fails validation (torn write, flipped bit, version skew, rows
+/// that do not tile the life arrays). A kDataLoss file is NEVER partially
+/// applied.
 pl::StatusOr<Snapshot> open_snapshot(const std::string& path);
 
 // -- day-delta codec -------------------------------------------------------

@@ -582,7 +582,7 @@ pl::Status QueryService::advance_day(const DayDelta& delta) {
   const obs::RequestId rid =
       obs::derive_request_id(obs::kQueryStream, seq, 0);
   AdvanceStats stats;
-  const pl::Status status = snapshot_.advance_day(delta, &stats);
+  const pl::Status status = snapshot_.advance_day(delta, &stats, &span);
   record_event(rid, obs::EventKind::kAdvanceDay,
                obs::query_detail(obs::kCacheNone, 0,
                                  static_cast<std::uint32_t>(status.code()),
@@ -597,7 +597,12 @@ pl::Status QueryService::advance_day(const DayDelta& delta) {
   span.note("touched_admin", stats.touched_admin);
   span.note("touched_op", stats.touched_op);
   span.note("reclassified", stats.reclassified);
+  span.note("extended", stats.extended);
   metrics_.counter("pl_serve_advance_days").add(1);
+  metrics_.counter("pl_serve_advance_rows_rebuilt").add(stats.reclassified);
+  metrics_.counter("pl_serve_advance_rows_extended").add(stats.extended);
+  metrics_.counter("pl_serve_advance_transitions")
+      .add(stats.touched_admin + stats.touched_op);
   lookup_cache_.clear();
   alive_cache_.clear();
   ++version_;

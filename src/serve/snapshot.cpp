@@ -1,8 +1,8 @@
 #include "serve/snapshot.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <ranges>
-#include <set>
 #include <utility>
 
 #include "check/contracts.hpp"
@@ -35,6 +35,134 @@ std::vector<StateSpan> canonicalize(const std::vector<StateSpan>& spans) {
     }
   }
   return out;
+}
+
+/// Calls `on_registry(index)` once per registry and `on_country(code)` once
+/// per known country among one row's admin lives: the row's memberships in
+/// `by_registry_` and `by_country_`. A row has a handful of lives, so the
+/// dedupe rescans the earlier ones instead of allocating a set.
+template <typename OnRegistry, typename OnCountry>
+void for_each_membership(std::span<const AdminLifeRow> lives,
+                         OnRegistry on_registry, OnCountry on_country) {
+  std::array<bool, asn::kRirCount> seen_registry{};
+  for (std::size_t a = 0; a < lives.size(); ++a) {
+    const std::size_t rir = asn::index_of(lives[a].life.registry);
+    if (!seen_registry[rir]) {
+      seen_registry[rir] = true;
+      on_registry(rir);
+    }
+    const asn::CountryCode country = lives[a].life.country;
+    if (country.unknown()) continue;
+    const bool seen = std::ranges::any_of(
+        lives.first(a),
+        [&](const AdminLifeRow& earlier) {
+          return earlier.life.country == country;
+        });
+    if (!seen) on_country(country);
+  }
+}
+
+/// Fold one registry's facts for `day` (ascending by ASN, unique) into its
+/// canonical spans in one merge walk: an unchanged record extends its run,
+/// a new or changed one opens a span. Appends every ASN with a transition —
+/// a new, changed or vanished record, a `dele::RecordChange` between the
+/// files of `day - 1` and `day` — to `changed`, ascending. Returns the
+/// registry's first observed day after the fold.
+std::optional<Day> fold_registry(
+    std::map<std::uint32_t, std::vector<StateSpan>>& spans,
+    std::span<const DelegationFact> facts, Day day,
+    std::vector<std::uint32_t>& changed) {
+  const auto listed_before = [day](const std::vector<StateSpan>& list) {
+    return !list.empty() && list.back().days.last == day - 1;
+  };
+  std::optional<Day> first_observed;
+  auto it = spans.begin();
+  auto fact = facts.begin();
+  while (it != spans.end() || fact != facts.end()) {
+    if (fact == facts.end() ||
+        (it != spans.end() && it->first < fact->asn.value)) {
+      if (listed_before(it->second)) changed.push_back(it->first);  // vanished
+    } else {
+      if (it == spans.end() || fact->asn.value < it->first)
+        it = spans.emplace_hint(it, fact->asn.value, std::vector<StateSpan>{});
+      std::vector<StateSpan>& list = it->second;
+      if (listed_before(list) && list.back().state == fact->state) {
+        list.back().days.last = day;  // state unchanged: extend the run
+      } else {
+        list.push_back(StateSpan{util::DayInterval{day, day}, fact->state});
+        changed.push_back(it->first);
+      }
+      ++fact;
+    }
+    if (!it->second.empty() &&
+        (!first_observed || it->second.front().days.first < *first_observed))
+      first_observed = it->second.front().days.first;
+    ++it;
+  }
+  return first_observed;
+}
+
+/// Patch a sorted vector in linear passes, without re-sorting it: drop one
+/// occurrence of each value of `removed` (sorted), map the survivors through
+/// the monotone `map`, then merge in `added` (sorted) from the back.
+template <typename T, typename Map>
+void patch_sorted(std::vector<T>& sorted, std::span<const T> removed,
+                  std::span<const T> added, Map map) {
+  std::size_t kept = 0;
+  std::size_t r = 0;
+  for (const T value : sorted) {
+    while (r < removed.size() && removed[r] < value) ++r;
+    if (r < removed.size() && removed[r] == value) {
+      ++r;
+      continue;
+    }
+    sorted[kept++] = map(value);
+  }
+  sorted.resize(kept + added.size());
+  std::size_t write = sorted.size();
+  std::size_t a = added.size();
+  while (a > 0) {
+    if (kept > 0 && added[a - 1] < sorted[kept - 1])
+      sorted[--write] = sorted[--kept];
+    else
+      sorted[--write] = added[--a];
+  }
+}
+
+/// One run of `count` elements at `begin` replaced by `content`, which is at
+/// least as long.
+template <typename T>
+struct Splice {
+  std::size_t begin = 0;
+  std::size_t count = 0;
+  std::span<const T> content;
+};
+
+/// Apply growing splices (ascending, non-overlapping) to `values` in place:
+/// grow once, then walk back to front, moving each tail up by the growth of
+/// the splices before it. No element is moved more than once.
+template <typename T>
+void apply_splices(std::vector<T>& values, std::span<const Splice<T>> splices) {
+  std::size_t read = values.size();
+  std::size_t growth = 0;
+  for (const Splice<T>& splice : splices) {
+    PL_EXPECT(splice.content.size() >= splice.count,
+              "apply_splices only grows");
+    growth += splice.content.size() - splice.count;
+  }
+  values.resize(values.size() + growth);
+  std::size_t write = values.size();
+  for (const Splice<T>& splice : std::views::reverse(splices)) {
+    const std::size_t tail = splice.begin + splice.count;
+    if (write != read)
+      std::move_backward(values.begin() + static_cast<std::ptrdiff_t>(tail),
+                         values.begin() + static_cast<std::ptrdiff_t>(read),
+                         values.begin() + static_cast<std::ptrdiff_t>(write));
+    write -= read - tail + splice.content.size();
+    std::ranges::copy(splice.content,
+                      values.begin() + static_cast<std::ptrdiff_t>(write));
+    read = splice.begin;
+  }
 }
 
 /// Count of sorted values <= day.
@@ -96,6 +224,61 @@ Snapshot::BuiltAsn Snapshot::build_asn_rows(
 
   built.row.flags = flags;
   return built;
+}
+
+/// Whether a clean ASN's row changes beyond its open ends when the archive
+/// end moves from `end` to `end + 1`. A clean ASN has no delegation
+/// transition and no activity flip on the new day, so exactly its lives that
+/// end on `end` — at most its last admin life and its last op life — grow by
+/// one day, and nothing else in its inputs moves. That keeps every 4.1 merge
+/// decision (a piece sorted after an open piece only sees a more negative
+/// gap, still within a non-negative transfer tolerance), every overlap and
+/// containment relation, and so every category. Two row fields still move
+/// with the end alone, so those rows go through the builder:
+///   * the best-overlap `admin_index` of an open last op life that overlaps
+///     an earlier admin life besides the open last one: the last one's
+///     overlap gains a day and may overtake;
+///   * a dormant-squat verdict whose ratio op_len / admin_len crosses
+///     `max_relative_duration` as the open admin life (and an open op life
+///     inside it) grows.
+/// A negative transfer tolerance could flip a merge, so under one every row
+/// with an open admin life counts. Derived from the rows alone: no format
+/// carries it.
+bool end_sensitive(std::span<const AdminLifeRow> admin,
+                   std::span<const OpLifeRow> op, Day end,
+                   const SnapshotConfig& config) {
+  // An op life that grows alone keeps every overlap: the admin lives all
+  // end before its new day.
+  if (admin.empty() || admin.back().life.days.last != end) return false;
+  if (config.admin.transfer_gap_tolerance < 0) return true;
+  const util::DayInterval& open = admin.back().life.days;
+
+  if (!op.empty() && op.back().life.days.last == end && admin.size() >= 2 &&
+      admin[admin.size() - 2].life.days.last >= op.back().life.days.first)
+    return true;
+
+  // The dormant-awakening walk of joint::flag_asn_squats over the open
+  // admin life, comparing each verdict at both ends.
+  if (admin.back().category != joint::Category::kCompleteOverlap) return false;
+  const auto flagged = [&config](std::int64_t op_days,
+                                 std::int64_t admin_days) {
+    return static_cast<double>(op_days) / static_cast<double>(admin_days) <=
+           config.squat.max_relative_duration;
+  };
+  Day previous_end = open.first - 1;  // allocation start
+  for (const OpLifeRow& life : op) {
+    const util::DayInterval& days = life.life.days;
+    if (!open.contains(days)) continue;
+    const std::int64_t dormancy =
+        static_cast<std::int64_t>(days.first) - previous_end - 1;
+    previous_end = days.last;
+    if (dormancy < config.squat.dormancy_days) continue;
+    const std::int64_t grown = days.length() + (days.last == end ? 1 : 0);
+    if (flagged(days.length(), open.length()) !=
+        flagged(grown, open.length() + 1))
+      return true;
+  }
+  return false;
 }
 
 void Snapshot::append_built(BuiltAsn&& built) {
@@ -189,13 +372,31 @@ void Snapshot::assemble(const lifetimes::AdminDataset& admin,
   for (BuiltAsn& built : slots) append_built(std::move(built));
 }
 
-void Snapshot::rebuild_rows(AdvanceStats* stats) {
+Snapshot::BuiltAsn Snapshot::build_working_asn(
+    asn::Asn asn, const FirstObserved& first_observed) const {
   const WorkingSet& working = *working_;
-  const restore::RestoredArchive& archive = working.archive;
+  lifetimes::AsnSpansByRegistry spans{};
+  for (std::size_t r = 0; r < asn::kRirCount; ++r) {
+    const auto it = working.archive.registries[r].spans.find(asn.value);
+    if (it != working.archive.registries[r].spans.end()) spans[r] = &it->second;
+  }
+  const std::vector<lifetimes::AdminLifetime> admin =
+      lifetimes::build_asn_admin_lifetimes(asn.value, spans, first_observed,
+                                           archive_end_, config_.admin);
+  std::vector<lifetimes::OpLifetime> op;
+  if (const util::IntervalSet* days = working.activity.activity(asn))
+    for (const util::DayInterval& life :
+         days->coalesce(config_.op_timeout_days))
+      op.push_back(lifetimes::OpLifetime{asn, life});
+  return build_asn_rows(asn, admin, op, config_);
+}
+
+void Snapshot::rebuild_rows() {
+  const WorkingSet& working = *working_;
 
   // Ascending union of every ASN the working set knows: the registries'
-  // span keys first (their count is the admin rebuild count), then the
-  // activity keys. Each source is sorted, so merge instead of sorting.
+  // span keys, then the activity keys. Each source is sorted, so merge
+  // instead of sorting.
   std::vector<std::uint32_t> asns;
   const auto merge_sorted = [&asns](auto&& keys) {
     const std::size_t mid = asns.size();
@@ -203,15 +404,14 @@ void Snapshot::rebuild_rows(AdvanceStats* stats) {
     std::inplace_merge(asns.begin(), asns.begin() + mid, asns.end());
     asns.erase(std::unique(asns.begin(), asns.end()), asns.end());
   };
-  for (const restore::RestoredRegistry& registry : archive.registries)
+  for (const restore::RestoredRegistry& registry : working.archive.registries)
     merge_sorted(std::views::keys(registry.spans));
-  const std::size_t admin_asns = asns.size();
   merge_sorted(std::views::keys(working.activity.entries()) |
                std::views::transform(
                    [](const asn::Asn& key) { return key.value; }));
 
-  const std::array<std::optional<Day>, asn::kRirCount> first_observed =
-      lifetimes::registry_first_observed(archive);
+  const FirstObserved first_observed =
+      lifetimes::registry_first_observed(working.archive);
 
   // Per-ASN row construction is independent: build each ASN into its own
   // slot in parallel, then concatenate in ascending-ASN order (identical to
@@ -220,25 +420,8 @@ void Snapshot::rebuild_rows(AdvanceStats* stats) {
   exec::parallel_for(
       asns.size(),
       [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const asn::Asn asn{asns[i]};
-          lifetimes::AsnSpansByRegistry spans{};
-          for (std::size_t r = 0; r < asn::kRirCount; ++r) {
-            const auto it = archive.registries[r].spans.find(asn.value);
-            if (it != archive.registries[r].spans.end())
-              spans[r] = &it->second;
-          }
-          const std::vector<lifetimes::AdminLifetime> admin =
-              lifetimes::build_asn_admin_lifetimes(
-                  asn.value, spans, first_observed, archive_end_,
-                  config_.admin);
-          std::vector<lifetimes::OpLifetime> op;
-          if (const util::IntervalSet* days = working.activity.activity(asn))
-            for (const util::DayInterval& life :
-                 days->coalesce(config_.op_timeout_days))
-              op.push_back(lifetimes::OpLifetime{asn, life});
-          slots[i] = build_asn_rows(asn, admin, op, config_);
-        }
+        for (std::size_t i = begin; i < end; ++i)
+          slots[i] = build_working_asn(asn::Asn{asns[i]}, first_observed);
       },
       /*grain=*/64);
 
@@ -256,13 +439,6 @@ void Snapshot::rebuild_rows(AdvanceStats* stats) {
   op_rows_.reserve(op_total);
   for (BuiltAsn& built : slots) append_built(std::move(built));
   rebuild_indexes();
-
-  if (stats != nullptr) {
-    stats->touched_admin = static_cast<std::int64_t>(admin_asns);
-    stats->touched_op =
-        static_cast<std::int64_t>(working.activity.asn_count());
-    stats->reclassified = static_cast<std::int64_t>(rows_.size());
-  }
 }
 
 void Snapshot::rebuild_indexes() {
@@ -284,20 +460,14 @@ void Snapshot::rebuild_indexes() {
 
   for (std::uint32_t r = 0; r < rows_.size(); ++r) {
     const AsnRow& row = rows_[r];
-    std::array<bool, asn::kRirCount> seen_registry{};
-    std::set<asn::CountryCode> seen_country;
     for (const AdminLifeRow& life : admin_lives(row)) {
       admin_starts_.push_back(life.life.days.first);
       admin_ends_.push_back(life.life.days.last);
-      const std::size_t rir = asn::index_of(life.life.registry);
-      if (!seen_registry[rir]) {
-        seen_registry[rir] = true;
-        by_registry_[rir].push_back(r);
-      }
-      if (!life.life.country.unknown() &&
-          seen_country.insert(life.life.country).second)
-        by_country_[life.life.country].push_back(r);
     }
+    for_each_membership(
+        admin_lives(row),
+        [&](std::size_t rir) { by_registry_[rir].push_back(r); },
+        [&](asn::CountryCode country) { by_country_[country].push_back(r); });
     for (const OpLifeRow& life : op_lives(row)) {
       op_starts_.push_back(life.life.days.first);
       op_ends_.push_back(life.life.days.last);
@@ -397,7 +567,8 @@ AliveCensus Snapshot::alive_census(util::Day day) const noexcept {
   return census;
 }
 
-pl::Status Snapshot::advance_day(const DayDelta& delta, AdvanceStats* stats) {
+pl::Status Snapshot::advance_day(const DayDelta& delta, AdvanceStats* stats,
+                                 obs::Span* span) {
   if (!working_)
     return pl::failed_precondition_error(
         "snapshot has no working set (built from datasets, not from a "
@@ -406,41 +577,266 @@ pl::Status Snapshot::advance_day(const DayDelta& delta, AdvanceStats* stats) {
     return pl::invalid_argument_error(
         "advance_day expects day " + util::format_iso(archive_end_ + 1) +
         ", got " + util::format_iso(delta.day));
+  const auto phase = [span](const char* name) {
+    return span != nullptr ? span->child(name) : obs::Span{};
+  };
+  obs::Span diff_span = phase("serve.advance.diff");
 
   // Validate before mutating so a rejected delta leaves the snapshot
-  // untouched: at most one fact per (registry, ASN).
-  {
-    std::set<std::pair<std::size_t, std::uint32_t>> seen;
-    for (const DelegationFact& fact : delta.delegation)
-      if (!seen.emplace(asn::index_of(fact.registry), fact.asn.value).second)
-        return pl::invalid_argument_error(
-            "duplicate delegation fact for AS" + asn::to_string(fact.asn) +
-            " in one registry on " + util::format_iso(delta.day));
+  // untouched: at most one fact per (registry, ASN). Facts are walked
+  // registry-major, ascending ASN within — slice_day's order, so a sorted
+  // copy is only made for a delta that arrives in another order.
+  const auto key = [](const DelegationFact& fact) {
+    return std::pair(asn::index_of(fact.registry), fact.asn);
+  };
+  std::span<const DelegationFact> facts = delta.delegation;
+  std::vector<DelegationFact> sorted_facts;
+  if (!std::ranges::is_sorted(facts, {}, key)) {
+    sorted_facts.assign(facts.begin(), facts.end());
+    std::ranges::sort(sorted_facts, {}, key);
+    facts = sorted_facts;
+  }
+  const auto duplicate = std::ranges::adjacent_find(facts, {}, key);
+  if (duplicate != facts.end())
+    return pl::invalid_argument_error(
+        "duplicate delegation fact for AS" + asn::to_string(duplicate->asn) +
+        " in one registry on " + util::format_iso(delta.day));
+  std::span<const asn::Asn> active = delta.active;
+  std::vector<asn::Asn> sorted_active;
+  if (std::ranges::adjacent_find(active, std::greater_equal{}) !=
+      active.end()) {
+    sorted_active.assign(active.begin(), active.end());
+    std::ranges::sort(sorted_active);
+    sorted_active.erase(std::unique(sorted_active.begin(), sorted_active.end()),
+                        sorted_active.end());
+    active = sorted_active;
   }
 
+  // Diff the day against the working set and extend it in place. The dirty
+  // ASNs are those with a transition: a delegation record that is new,
+  // changed or vanished, or an activity flip.
   WorkingSet& working = *working_;
-  for (const DelegationFact& fact : delta.delegation) {
-    std::vector<StateSpan>& spans =
-        working.archive.registries[asn::index_of(fact.registry)]
-            .spans[fact.asn.value];
-    if (!spans.empty() && spans.back().days.last == delta.day - 1 &&
-        spans.back().state == fact.state) {
-      spans.back().days.last = delta.day;  // state unchanged: extend the run
-    } else {
-      spans.push_back(
-          StateSpan{util::DayInterval{delta.day, delta.day}, fact.state});
+  const Day end = archive_end_;
+  archive_end_ = delta.day;
+  FirstObserved first_observed;
+  std::vector<std::uint32_t> dirty;
+  for (std::size_t r = 0; r < asn::kRirCount; ++r) {
+    const auto [begin, stop] = std::ranges::equal_range(
+        facts, r, {}, [](const DelegationFact& fact) {
+          return asn::index_of(fact.registry);
+        });
+    first_observed[r] =
+        fold_registry(working.archive.registries[r].spans,
+                      std::span(begin, stop), delta.day, dirty);
+  }
+  std::ranges::sort(dirty);
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+  const std::size_t touched_admin = dirty.size();
+  const std::vector<asn::Asn> flipped =
+      working.activity.extend_day(delta.day, active);
+  const std::size_t mid = dirty.size();
+  for (const asn::Asn asn : flipped) dirty.push_back(asn.value);
+  std::inplace_merge(dirty.begin(), dirty.begin() + mid, dirty.end());
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+  diff_span.note("transitions",
+                 static_cast<std::int64_t>(touched_admin + flipped.size()));
+  diff_span.finish();
+
+  // Rows: one walk over the rows in ASN order. Dirty ASNs and clean rows
+  // whose fields move with the end alone (end_sensitive) go through the
+  // builder; every other clean row only bumps its open ends in place.
+  obs::Span rows_span = phase("serve.advance.rows");
+  std::vector<RowEdit> edits;
+  std::int64_t extended = 0;
+  std::size_t next_dirty = 0;
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    const AsnRow& row = rows_[i];
+    for (; next_dirty < dirty.size() && dirty[next_dirty] < row.asn.value;
+         ++next_dirty)
+      edits.push_back(RowEdit{asn::Asn{dirty[next_dirty]}, i, false, {}});
+    const std::span<AdminLifeRow> admin{admin_rows_.data() + row.admin_begin,
+                                        row.admin_count};
+    const std::span<OpLifeRow> op{op_rows_.data() + row.op_begin,
+                                  row.op_count};
+    const bool admin_open =
+        !admin.empty() && admin.back().life.days.last == end;
+    const bool op_open = !op.empty() && op.back().life.days.last == end;
+    if (next_dirty < dirty.size() && dirty[next_dirty] == row.asn.value) {
+      ++next_dirty;
+      edits.push_back(RowEdit{row.asn, i, true, {}});
+    } else if (admin_open || op_open) {
+      if (end_sensitive(admin, op, end, config_)) {
+        edits.push_back(RowEdit{row.asn, i, true, {}});
+      } else {
+        if (admin_open) admin.back().life.days.last = archive_end_;
+        if (op_open) op.back().life.days.last = archive_end_;
+        ++extended;
+      }
     }
   }
-  for (const asn::Asn active : delta.active)
-    working.activity.mark_active(active, delta.day);
-  archive_end_ = delta.day;
+  for (; next_dirty < dirty.size(); ++next_dirty)
+    edits.push_back(
+        RowEdit{asn::Asn{dirty[next_dirty]}, rows_.size(), false, {}});
 
+  for (RowEdit& edit : edits)
+    edit.built = build_working_asn(edit.asn, first_observed);
+  const std::size_t reclassified = edits.size();
+  // A new ASN whose spans hold no delegated state and that has no activity
+  // yields no row.
+  std::erase_if(edits, [](const RowEdit& edit) {
+    return !edit.replaces && edit.built.admin.empty() && edit.built.op.empty();
+  });
+  // Lives only grow: a new piece or run starts on the new day, so it merges
+  // into an ASN's last life or follows it, and the splice only moves tails
+  // up. The one exception is a registry's first published file: its lives
+  // are backdated to their registration dates (4.1) and may merge earlier
+  // lives of the ASN. A day that shrinks a row takes the full rebuild.
+  const bool grows = std::ranges::all_of(edits, [this](const RowEdit& edit) {
+    return !edit.replaces ||
+           (edit.built.admin.size() >= rows_[edit.row].admin_count &&
+            edit.built.op.size() >= rows_[edit.row].op_count);
+  });
+  rows_span.note("rebuilt", static_cast<std::int64_t>(reclassified));
+  rows_span.note("extended", extended);
+  rows_span.finish();
+
+  obs::Span index_span = phase("serve.advance.indexes");
+  if (grows)
+    splice_rows(edits, end);
+  else
+    rebuild_rows();
+  index_span.finish();
+
+  PL_ENSURE(([this] {
+              Snapshot rebuilt = *this;
+              rebuilt.rebuild_rows();
+              return rebuilt == *this;
+            })(),
+            "advance_day's patched rows and indexes must equal a full "
+            "rebuild_rows() over the same working set");
   if (stats != nullptr) {
     stats->facts = static_cast<std::int64_t>(delta.delegation.size());
-    stats->active = static_cast<std::int64_t>(delta.active.size());
+    stats->active = static_cast<std::int64_t>(active.size());
+    stats->touched_admin = static_cast<std::int64_t>(touched_admin);
+    stats->touched_op = static_cast<std::int64_t>(flipped.size());
+    stats->reclassified = static_cast<std::int64_t>(reclassified);
+    stats->extended = extended;
   }
-  rebuild_rows(stats);
   return {};
+}
+
+void Snapshot::splice_rows(std::span<const RowEdit> edits, Day end) {
+  // The replaced rows' index values go out, every rebuilt row's come in.
+  struct DayEvents {
+    std::vector<Day> admin_starts, admin_ends, op_starts, op_ends;
+
+    void add(std::span<const AdminLifeRow> admin,
+             std::span<const OpLifeRow> op) {
+      for (const AdminLifeRow& life : admin) {
+        admin_starts.push_back(life.life.days.first);
+        admin_ends.push_back(life.life.days.last);
+      }
+      for (const OpLifeRow& life : op) {
+        op_starts.push_back(life.life.days.first);
+        op_ends.push_back(life.life.days.last);
+      }
+    }
+    void sort() {
+      for (std::vector<Day>* days :
+           {&admin_starts, &admin_ends, &op_starts, &op_ends})
+        std::ranges::sort(*days);
+    }
+  };
+  DayEvents removed, added;
+  std::vector<std::uint32_t> replaced;     ///< old indices of replaced rows
+  std::vector<std::uint32_t> inserted_at;  ///< old rows new ones go before
+  std::vector<Splice<AsnRow>> row_splices;
+  std::vector<Splice<AdminLifeRow>> admin_splices;
+  std::vector<Splice<OpLifeRow>> op_splices;
+  for (const RowEdit& edit : edits) {
+    const bool at_end = edit.row == rows_.size();
+    const std::size_t admin_at =
+        at_end ? admin_rows_.size() : rows_[edit.row].admin_begin;
+    const std::size_t op_at = at_end ? op_rows_.size() : rows_[edit.row].op_begin;
+    std::size_t admin_count = 0, op_count = 0;
+    if (edit.replaces) {
+      const AsnRow& old = rows_[edit.row];
+      removed.add(admin_lives(old), op_lives(old));
+      admin_count = old.admin_count;
+      op_count = old.op_count;
+      replaced.push_back(static_cast<std::uint32_t>(edit.row));
+    } else {
+      inserted_at.push_back(static_cast<std::uint32_t>(edit.row));
+    }
+    added.add(edit.built.admin, edit.built.op);
+    row_splices.push_back(
+        {edit.row, edit.replaces ? 1u : 0u, std::span(&edit.built.row, 1)});
+    admin_splices.push_back({admin_at, admin_count, edit.built.admin});
+    op_splices.push_back({op_at, op_count, edit.built.op});
+  }
+  apply_splices<AdminLifeRow>(admin_rows_, admin_splices);
+  apply_splices<OpLifeRow>(op_rows_, op_splices);
+  apply_splices<AsnRow>(rows_, row_splices);
+  std::uint32_t admin_next = 0, op_next = 0;
+  for (AsnRow& row : rows_) {
+    row.admin_begin = admin_next;
+    row.op_begin = op_next;
+    admin_next += row.admin_count;
+    op_next += row.op_count;
+  }
+
+  // The sorted day arrays: the open ends of the rows left in place move
+  // from `end` to the new archive end, the largest value either way.
+  removed.sort();
+  added.sort();
+  const auto same = [](Day day) { return day; };
+  const auto bump = [end, this](Day day) {
+    return day == end ? archive_end_ : day;
+  };
+  patch_sorted<Day>(admin_starts_, removed.admin_starts, added.admin_starts,
+                    same);
+  patch_sorted<Day>(admin_ends_, removed.admin_ends, added.admin_ends, bump);
+  patch_sorted<Day>(op_starts_, removed.op_starts, added.op_starts, same);
+  patch_sorted<Day>(op_ends_, removed.op_ends, added.op_ends, bump);
+
+  // The row lists: a surviving row moves up by the rows inserted at or
+  // before it; a rebuilt row's new index is its old position plus the rows
+  // inserted before it.
+  const auto renumber = [&inserted_at] {
+    return [&inserted_at, k = std::size_t{0}](std::uint32_t row) mutable {
+      while (k < inserted_at.size() && inserted_at[k] <= row) ++k;
+      return static_cast<std::uint32_t>(row + k);
+    };
+  };
+  std::array<std::vector<std::uint32_t>, asn::kRirCount> registry_added;
+  std::vector<std::pair<asn::CountryCode, std::uint32_t>> country_added;
+  std::size_t inserts = 0;
+  for (const RowEdit& edit : edits) {
+    const auto row = static_cast<std::uint32_t>(edit.row + inserts);
+    if (!edit.replaces) ++inserts;
+    for_each_membership(
+        edit.built.admin,
+        [&](std::size_t rir) { registry_added[rir].push_back(row); },
+        [&](asn::CountryCode country) {
+          country_added.emplace_back(country, row);
+          by_country_.try_emplace(country);  // a list for a new country
+        });
+  }
+  for (std::size_t r = 0; r < asn::kRirCount; ++r)
+    patch_sorted<std::uint32_t>(by_registry_[r], replaced, registry_added[r],
+                                renumber());
+  std::ranges::stable_sort(country_added, {},
+                           &std::pair<asn::CountryCode, std::uint32_t>::first);
+  auto next = country_added.begin();
+  std::vector<std::uint32_t> rows;
+  for (auto& [country, list] : by_country_) {
+    rows.clear();
+    for (; next != country_added.end() && next->first == country; ++next)
+      rows.push_back(next->second);
+    patch_sorted<std::uint32_t>(list, replaced, rows, renumber());
+  }
+  std::erase_if(by_country_,
+                [](const auto& entry) { return entry.second.empty(); });
 }
 
 bool operator==(const Snapshot& a, const Snapshot& b) {

@@ -13,12 +13,15 @@
 // Construction happens once from pipeline output (`Snapshot::build`) or
 // from published Listing-1 datasets (`Snapshot::from_datasets`, query-only).
 // After that the snapshot only changes through `advance_day()`, which folds
-// ONE new delegation day plus ONE BGP activity day in: it extends the
-// working set's restored spans and activity runs in place, then rebuilds
-// every row through the same per-ASN builder `build` runs. The advance path
-// is locked by test to be bit-identical to rebuilding the snapshot from a
-// full pipeline run over the extended world — the invariants that make
-// that possible are catalogued in DESIGN.md §11.
+// ONE new delegation day plus ONE BGP activity day in. It diffs the day
+// against the working set (the paper's consecutive-file comparison, 3.1),
+// extends unchanged spans and activity runs in place, bumps the open ends of
+// rows nothing touched, reruns the per-ASN builder `build` uses only for
+// ASNs with a transition (or whose row moves with the end alone), and
+// patches the indexes. The advance path is locked by test to be
+// bit-identical to rebuilding the snapshot from a full pipeline run over the
+// extended world — the invariants that make that possible are catalogued in
+// DESIGN.md §11.
 #pragma once
 
 #include <array>
@@ -30,6 +33,7 @@
 
 #include "bgp/activity.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "joint/squat.hpp"
 #include "joint/taxonomy.hpp"
 #include "lifetimes/admin.hpp"
@@ -39,10 +43,10 @@
 
 namespace pl::serve {
 
-/// Per-ASN detector/status flag bits stamped on AsnRow. Only facts stable
-/// under a moving archive end live here ("currently allocated/active" are
-/// computed at query time against `archive_end()` instead, so untouched
-/// rows stay byte-identical across advances).
+/// Per-ASN detector/status flag bits stamped on AsnRow. "Currently
+/// allocated/active" are not stored but computed at query time against
+/// `archive_end()`, so a moving end changes a flag only through a
+/// dormant-squat verdict, which advance_day() rechecks (`end_sensitive`).
 enum AsnFlag : std::uint16_t {
   kFlagEverAllocated = 1u << 0,     ///< has at least one admin life
   kFlagEverActive = 1u << 1,        ///< has at least one op life
@@ -119,15 +123,17 @@ struct DayDelta {
   friend bool operator==(const DayDelta&, const DayDelta&) = default;
 };
 
-/// advance_day() accounting, surfaced as span notes by the QueryService.
-/// Every row is rebuilt on every advance, so the last three count the whole
-/// working set: ASNs with restored spans, ASNs with activity, rows built.
+/// advance_day() accounting, surfaced as span notes and `pl_serve_advance_*`
+/// counters by the QueryService. A row counts in at most one of
+/// `reclassified` and `extended`; every other row is left as it was.
 struct AdvanceStats {
-  std::int64_t facts = 0;           ///< delegation facts applied
-  std::int64_t active = 0;          ///< ASNs marked active
-  std::int64_t touched_admin = 0;   ///< ASNs whose admin lives recomputed
-  std::int64_t touched_op = 0;      ///< ASNs whose op lives recomputed
-  std::int64_t reclassified = 0;    ///< ASN rows rebuilt
+  std::int64_t facts = 0;          ///< delegation facts applied
+  std::int64_t active = 0;         ///< ASNs marked active
+  std::int64_t touched_admin = 0;  ///< ASNs with a delegation transition
+                                   ///< (new, changed or vanished record)
+  std::int64_t touched_op = 0;     ///< ASNs whose activity flipped
+  std::int64_t reclassified = 0;   ///< ASNs run through the row builder
+  std::int64_t extended = 0;       ///< rows whose open ends moved in place
 };
 
 struct AliveCensus {
@@ -201,9 +207,13 @@ class Snapshot {
   bool can_advance() const noexcept { return working_.has_value(); }
 
   /// Fold one new day in. `delta.day` must be `archive_end() + 1`; at most
-  /// one fact per (registry, ASN). On success the snapshot is bit-identical
-  /// to `build()` over the extended inputs; on failure it is unchanged.
-  pl::Status advance_day(const DayDelta& delta, AdvanceStats* stats = nullptr);
+  /// one fact per (registry, ASN), in any order (`active` may also be
+  /// unsorted and repeat ASNs). On success the snapshot is bit-identical to
+  /// `build()` over the extended inputs; on failure it is unchanged. With a
+  /// `span`, the diff, row and index phases run under its children
+  /// `serve.advance.diff`, `serve.advance.rows` and `serve.advance.indexes`.
+  pl::Status advance_day(const DayDelta& delta, AdvanceStats* stats = nullptr,
+                         obs::Span* span = nullptr);
 
   /// Deep equality over everything — serving rows, derived indexes, and
   /// the working set. The advance-vs-rebuild tests assert with this.
@@ -231,19 +241,41 @@ class Snapshot {
     std::vector<OpLifeRow> op;
   };
 
+  /// One ASN advance_day() runs through the builder: it replaces row `row`
+  /// (`replaces`) or is inserted before it.
+  struct RowEdit {
+    asn::Asn asn;
+    std::size_t row = 0;
+    bool replaces = false;
+    BuiltAsn built;
+  };
+
+  using FirstObserved = std::array<std::optional<util::Day>, asn::kRirCount>;
+
   /// Classify + flag one ASN's lives into serving rows.
   static BuiltAsn build_asn_rows(asn::Asn asn,
                                  std::span<const lifetimes::AdminLifetime> admin,
                                  std::span<const lifetimes::OpLifetime> op,
                                  const SnapshotConfig& config);
 
+  /// One ASN's rows from the working set at `archive_end_`: the per-ASN
+  /// admin builder, the op timeout coalesce, then build_asn_rows.
+  BuiltAsn build_working_asn(asn::Asn asn,
+                             const FirstObserved& first_observed) const;
+
   void assemble(const lifetimes::AdminDataset& admin,
                 const lifetimes::OpDataset& op);
-  /// Rebuild every row from the working set at `archive_end_`, then the
-  /// indexes. The one row path of build() and advance_day().
-  void rebuild_rows(AdvanceStats* stats = nullptr);
+  /// Rebuild every row from the working set, in parallel, then the indexes.
+  /// `build()` runs it. advance_day() runs the builder only for the rows it
+  /// must, falls back to this on a day that shrinks a row, and in PL_CHECKED
+  /// builds checks its patched result against this on a copy.
+  void rebuild_rows();
   void append_built(BuiltAsn&& built);
   void rebuild_indexes();
+  /// Splice advance_day()'s rebuilt rows (ascending by ASN, none shrinking)
+  /// into the row arrays and patch every index; `end` is the archive end
+  /// before the advance, whose index entries move to `archive_end_`.
+  void splice_rows(std::span<const RowEdit> edits, util::Day end);
 
   std::vector<AsnRow> rows_;
   std::vector<AdminLifeRow> admin_rows_;

@@ -9,11 +9,38 @@
 // end to the full world's snapshot. Runs plain and under transport chaos.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "pipeline/pipeline.hpp"
 #include "serve/snapshot.hpp"
 
 namespace pl::serve {
 namespace {
+
+using dele::RecordState;
+using restore::StateSpan;
+
+RecordState allocated(util::Day registration_date) {
+  RecordState state;
+  state.status = dele::Status::kAllocated;
+  state.registration_date = registration_date;
+  state.country = asn::CountryCode::literal('D', 'E');
+  state.opaque_id = 7;
+  return state;
+}
+
+RecordState available() {
+  RecordState state;
+  state.status = dele::Status::kAvailable;
+  return state;
+}
+
+restore::RestoredArchive empty_archive() {
+  restore::RestoredArchive archive;
+  for (std::size_t r = 0; r < asn::kRirCount; ++r)
+    archive.registries[r].rir = asn::kAllRirs[r];
+  return archive;
+}
 
 void advance_equals_rebuild(const pipeline::Config& config, int days_back) {
   const pipeline::Result extended = pipeline::run_simulated(config);
@@ -116,6 +143,137 @@ TEST(ServeAdvance, RejectedDeltaLeavesSnapshotUnchanged) {
   ASSERT_TRUE(snapshot.advance_day(next).ok());
   EXPECT_TRUE(snapshot ==
               rebuild_at(result.restored, result.op_world.activity, day + 1));
+}
+
+TEST(ServeAdvance, EndOnlyRowChangesMatchRebuild) {
+  // Three ASNs with no transition in the window whose rows still change
+  // beyond their open ends, only because the archive end moves. An advance
+  // that merely bumped open ends would miss all three.
+  constexpr util::Day kBase = 10000;
+  constexpr util::Day kFirst = kBase + 205;  // advance from here...
+  constexpr util::Day kLast = kBase + 215;   // ...to here
+  constexpr util::Day kFlip = kBase + 210;   // where each row changes
+  SnapshotConfig config;
+  config.squat.dormancy_days = 10;  // max_relative_duration stays 0.05
+
+  restore::RestoredArchive archive = empty_archive();
+  auto& arin = archive.registries[asn::index_of(asn::Rir::kArin)].spans;
+  bgp::ActivityTable activity;
+  // (a) A 5-day op life 39 days into an open admin life: 5 / admin_len
+  // falls to 0.05 at kFlip, so the dormant flag turns on.
+  arin[100] = {StateSpan{{kBase, kBase + 110}, available()},
+               StateSpan{{kBase + 111, kLast}, allocated(kBase + 111)}};
+  activity.mark_active(asn::Asn{100}, util::DayInterval{kBase + 150,
+                                                        kBase + 154});
+  // (b) An open op life inside an open admin life, awake after 200 dormant
+  // days: (end - 199) / (end + 1) passes 0.05 at kFlip, so the flag turns
+  // off.
+  arin[200] = {StateSpan{{kBase, kLast}, allocated(kBase)}};
+  activity.mark_active(asn::Asn{200}, util::DayInterval{kBase + 200, kLast});
+  // (c) An open op life overlapping both admin lives, 85 days of the
+  // closed one: the open one's overlap passes it at kFlip, so admin_index
+  // switches from 0 to 1.
+  arin[300] = {StateSpan{{kBase, kBase + 120}, allocated(kBase)},
+               StateSpan{{kBase + 121, kBase + 124}, available()},
+               StateSpan{{kBase + 125, kLast}, allocated(kBase + 125)}};
+  activity.mark_active(asn::Asn{300}, util::DayInterval{kBase + 36, kLast});
+
+  const auto op_life = [](const Snapshot& snapshot, std::uint32_t asn) {
+    const AsnRow* row = snapshot.find(asn::Asn{asn});
+    EXPECT_NE(row, nullptr);
+    EXPECT_EQ(row->op_count, 1u);
+    return snapshot.op_lives(*row).back();
+  };
+  Snapshot advanced = rebuild_at(archive, activity, kFirst, config);
+  for (util::Day day = kFirst + 1; day <= kLast; ++day) {
+    AdvanceStats stats;
+    ASSERT_TRUE(advanced.advance_day(slice_day(archive, activity, day), &stats)
+                    .ok());
+    EXPECT_EQ(stats.touched_admin, 0) << "day " << day;
+    EXPECT_EQ(stats.touched_op, 0) << "day " << day;
+    EXPECT_TRUE(advanced == rebuild_at(archive, activity, day, config))
+        << "diverged on day " << day;
+
+    const bool flipped = day >= kFlip;
+    EXPECT_EQ(op_life(advanced, 100).dormant_squat, flipped) << day;
+    EXPECT_EQ(op_life(advanced, 200).dormant_squat, !flipped) << day;
+    EXPECT_EQ(op_life(advanced, 300).admin_index, flipped ? 1 : 0) << day;
+  }
+}
+
+TEST(ServeAdvance, ShrinkingRowFallsBackToFullRebuild) {
+  // A registry's first published file backdates its lives to their
+  // registration dates (4.1), which can merge an ASN's earlier lives: the
+  // one day on which a row loses lives. That day still matches a rebuild.
+  constexpr util::Day kBase = 10000;
+  constexpr util::Day kOpen = kBase + 208;  // RIPE's first file
+  restore::RestoredArchive archive = empty_archive();
+  archive.registries[asn::index_of(asn::Rir::kArin)].spans[400] = {
+      StateSpan{{kBase, kBase + 50}, allocated(kBase)},
+      StateSpan{{kBase + 51, kBase + 60}, available()},
+      StateSpan{{kBase + 61, kOpen + 2}, allocated(kBase + 61)}};
+  archive.registries[asn::index_of(asn::Rir::kRipeNcc)].spans[400] = {
+      StateSpan{{kOpen, kOpen + 2}, allocated(kBase)}};
+  bgp::ActivityTable activity;
+  activity.mark_active(asn::Asn{400}, util::DayInterval{kBase + 5, kOpen + 2});
+
+  Snapshot advanced = rebuild_at(archive, activity, kOpen - 2);
+  for (util::Day day = kOpen - 1; day <= kOpen + 2; ++day) {
+    ASSERT_TRUE(advanced.advance_day(slice_day(archive, activity, day)).ok());
+    EXPECT_TRUE(advanced == rebuild_at(archive, activity, day))
+        << "diverged on day " << day;
+    EXPECT_EQ(advanced.find(asn::Asn{400})->admin_count, day < kOpen ? 2u : 1u)
+        << day;
+  }
+}
+
+TEST(ServeAdvance, DeltaInputOrderDoesNotMatter) {
+  // Facts out of registry-major / ascending order and a repeated active
+  // ASN are accepted and fold to the snapshot the canonical delta gives; a
+  // duplicate (registry, ASN) fact is still rejected whatever its position.
+  pipeline::Config config;
+  config.seed = 7;
+  config.scale = 0.01;
+  const pipeline::Result result = pipeline::run_simulated(config);
+  const util::Day day = result.truth.archive_end - 5;
+  const Snapshot base =
+      rebuild_at(result.restored, result.op_world.activity, day);
+  const DayDelta canonical =
+      slice_day(result.restored, result.op_world.activity, day + 1);
+  ASSERT_GT(canonical.delegation.size(), 2u);
+  ASSERT_GT(canonical.active.size(), 2u);
+
+  DayDelta shuffled = canonical;
+  std::reverse(shuffled.delegation.begin(), shuffled.delegation.end());
+  std::rotate(shuffled.delegation.begin(),
+              shuffled.delegation.begin() +
+                  static_cast<std::ptrdiff_t>(shuffled.delegation.size() / 3),
+              shuffled.delegation.end());
+  shuffled.active.push_back(canonical.active.front());
+  shuffled.active.push_back(canonical.active.back());
+  std::reverse(shuffled.active.begin(), shuffled.active.end());
+
+  Snapshot expected = base;
+  AdvanceStats expected_stats;
+  ASSERT_TRUE(expected.advance_day(canonical, &expected_stats).ok());
+  Snapshot advanced = base;
+  AdvanceStats stats;
+  ASSERT_TRUE(advanced.advance_day(shuffled, &stats).ok());
+  EXPECT_TRUE(advanced == expected);
+  EXPECT_TRUE(advanced ==
+              rebuild_at(result.restored, result.op_world.activity, day + 1));
+  EXPECT_EQ(stats.active, expected_stats.active);
+  EXPECT_EQ(stats.reclassified, expected_stats.reclassified);
+
+  DayDelta duplicate = shuffled;
+  duplicate.delegation.insert(
+      duplicate.delegation.begin() +
+          static_cast<std::ptrdiff_t>(duplicate.delegation.size() / 2),
+      canonical.delegation.front());
+  Snapshot rejected = base;
+  EXPECT_EQ(rejected.advance_day(duplicate).code(),
+            pl::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(rejected == base) << "duplicate-fact delta mutated the snapshot";
 }
 
 TEST(ServeAdvance, SliceDayIsDeterministicAndOrdered) {

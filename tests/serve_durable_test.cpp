@@ -144,6 +144,38 @@ TEST(DurableSnapshot, PayloadVersionSkewIsRejected) {
   }
 }
 
+TEST(DurableSnapshot, RowsThatDoNotTileTheLifeArraysAreRejected) {
+  // A CRC-valid frame whose second row starts one admin life late: still
+  // in bounds and sorted, but advance_day splices rows in place and relies
+  // on them tiling the life arrays in order.
+  const std::string frame = encode_snapshot(small_snapshot());
+  robust::CheckpointReader r(frame);
+  robust::CheckpointWriter w;
+  w.u32(r.u32());  // version
+  w.i32(r.i32());  // archive end
+  w.i32(r.i32());  // op timeout
+  w.i32(r.i32());  // transfer gap tolerance
+  w.i64(r.i64());  // dormancy days
+  w.u64(r.u64());  // max relative duration
+  const std::uint64_t rows = r.varint();
+  ASSERT_GE(rows, 2u);
+  w.varint(rows);
+  for (std::uint64_t i = 0; i < rows; ++i) {
+    w.u32(r.u32());  // asn
+    const std::uint32_t admin_begin = r.u32();
+    w.u32(i == 1 ? admin_begin + 1 : admin_begin);
+    for (int field = 0; field < 3; ++field) w.u32(r.u32());
+    w.u16(r.u16());  // flags
+  }
+  while (!r.at_end()) w.u8(r.u8());
+  ASSERT_TRUE(r.ok());
+
+  const auto decoded = decode_snapshot(std::move(w).finish());
+  EXPECT_EQ(decoded.status().code(), pl::StatusCode::kDataLoss);
+  EXPECT_NE(decoded.status().message().find("tile"), std::string::npos)
+      << decoded.status().to_string();
+}
+
 TEST(DurableSnapshot, SaveIsAtomicOverExistingFile) {
   const std::string dir = temp_dir("durable_atomic");
   const std::string path = dir + "/snap.plsnap";

@@ -287,8 +287,22 @@ TEST(QueryService, AdvanceClearsCachesAndBumpsVersion) {
   EXPECT_EQ(service.version(), 1u);
   EXPECT_EQ(service.snapshot().archive_end(), result.truth.archive_end + 1);
   if (obs::kEnabled) {
-    EXPECT_GT(
-        service.report().metrics.counter_value("pl_serve_advance_days"), 0);
+    const obs::Report report = service.report();
+    EXPECT_GT(report.metrics.counter_value("pl_serve_advance_days"), 0);
+    // The advance explains itself: where its time went and what it touched.
+    const obs::TraceNode* advance = report.trace.child("serve.advance_day");
+    ASSERT_NE(advance, nullptr);
+    for (const char* phase : {"serve.advance.diff", "serve.advance.rows",
+                              "serve.advance.indexes"})
+      EXPECT_NE(advance->child(phase), nullptr) << phase;
+    EXPECT_EQ(report.metrics.counter_value("pl_serve_advance_rows_rebuilt"),
+              advance->note_value("reclassified"));
+    EXPECT_EQ(report.metrics.counter_value("pl_serve_advance_rows_extended"),
+              advance->note_value("extended"));
+    EXPECT_GT(advance->note_value("extended"), 0);
+    EXPECT_EQ(report.metrics.counter_value("pl_serve_advance_transitions"),
+              advance->note_value("touched_admin") +
+                  advance->note_value("touched_op"));
   }
 }
 
